@@ -1,7 +1,7 @@
 //! Component benchmarks: the cost of the framework's building blocks.
 //!
-//! These measure the simulator substrate (disk service, elevator, cache)
-//! and the compiler kernels (slack analysis, reuse factor, scheduling) at
+//! These measure the simulator substrate (event calendar, disk service,
+//! elevator, cache) and the compiler kernels (slack analysis, reuse factor, scheduling) at
 //! controlled sizes, so regressions in the hot paths are visible without
 //! running whole experiments.
 
@@ -193,9 +193,39 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The calendar's hold loop — pop the earliest slot, retarget it a random
+/// 1..1000 µs later — at slot counts on both sides of the scan/heap
+/// crossover (12 slots) up to the scale-100 scene's 4821.
+fn bench_calendar(c: &mut Criterion) {
+    use simkit::kernel::{ArbitrationPolicy, Calendar};
+    use simkit::DetRng;
+    const HOLDS: u64 = 10_000;
+    let mut group = c.benchmark_group("calendar_hold");
+    group.throughput(criterion::Throughput::Elements(HOLDS));
+    for slots in [4usize, 8, 12, 16, 35, 64, 4821] {
+        let mut rng = DetRng::new(7);
+        let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
+        for _ in 0..slots {
+            let slot = cal.register();
+            cal.retarget(slot, Some(SimTime::from_micros(rng.range_u64(1, 1000))));
+        }
+        group.bench_function(&format!("{slots}_slots"), |b| {
+            b.iter(|| {
+                for _ in 0..HOLDS {
+                    let (at, slot) = cal.pop().unwrap();
+                    let later = at + SimDuration::from_micros(rng.range_u64(1, 1000));
+                    cal.retarget(slot, Some(later));
+                }
+                black_box(cal.peek_time())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_disk, bench_storage, bench_compiler, bench_engine
+    targets = bench_calendar, bench_disk, bench_storage, bench_compiler, bench_engine
 }
 criterion_main!(kernels);

@@ -548,7 +548,7 @@ fn run_perf(
 /// One timed pass over the calendar kernel itself: a synthetic
 /// retarget/pop-due workload at a slot population wider than any real
 /// configuration drives (the engine registers procs + 3 slots), so the
-/// number isolates retargeting and min-scan popping from all simulation
+/// number isolates retargeting and heap popping from all simulation
 /// logic.
 fn kernel_microbench() -> (u64, f64, f64) {
     use simkit::kernel::{ArbitrationPolicy, Calendar};

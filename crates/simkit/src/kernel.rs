@@ -8,37 +8,35 @@
 //! * [`Calendar`] — a slot-based calendar queue. Every event source
 //!   registers once and receives a [`SlotId`]; thereafter it only
 //!   *retargets* its next due time. The calendar orders due slots by
-//!   `(time, arbitration key)`: a retarget is an `O(1)` store and
-//!   peek/pop scan the slot table. Slots are *components*, not events —
-//!   a simulation has a handful of them (the payload queues behind each
-//!   slot hold the many events) — so the branch-predictable scan over a
-//!   contiguous array beats a binary heap with lazy deletion, which
-//!   pays a push plus a deferred stale-pop for every retarget.
+//!   `(time, arbitration key)` in an indexed 4-ary min-heap: every slot
+//!   records its heap position, so a retarget sifts just that entry
+//!   (`O(log n)`), a retarget to the due time a slot already has is an
+//!   `O(1)` no-op (hot loops refresh their sources every iteration), and
+//!   peek is `O(1)`. A pop leaves the root in place until the next call;
+//!   when that call retargets the popped slot — the pattern every caller
+//!   follows: pop, handle, reschedule the same source — the root is
+//!   re-keyed by one sift-down instead of a remove plus an insert.
+//!   Calendars of at most twelve slots (the power driver's, the I/O
+//!   node's and the rebuild loop's, and the storage system's at the
+//!   paper's eight nodes) skip the heap and scan the slot table instead,
+//!   which is cheaper at that size.
 //! * [`ArbitrationPolicy`] — how slots due at the *same* instant are
 //!   ordered: [`ArbitrationPolicy::Deterministic`] (registration order,
-//!   the default and the basis of the bitwise-reproducibility contract),
-//!   [`ArbitrationPolicy::SeededShuffle`] (a seeded hash permutes
-//!   same-time slots — determinism fuzzing), and
-//!   [`ArbitrationPolicy::Priority`] (explicit slot priorities, ties by
-//!   registration order).
-//! * [`Component`] / [`Emitter`] / [`Kernel`] — a trait-object driver for
-//!   composing independent event sources without writing a hand-rolled
-//!   loop. The hot simulation layers use [`Calendar`] directly (their
-//!   components need mutable access to shared state), but tests,
-//!   microbenchmarks and future sharded time domains compose through
-//!   [`Kernel`].
+//!   the default and the basis of the bitwise-reproducibility contract)
+//!   or [`ArbitrationPolicy::SeededShuffle`] (a seeded hash permutes
+//!   same-time slots — determinism fuzzing).
 //!
 //! # Determinism contract
 //!
 //! Under [`ArbitrationPolicy::Deterministic`] a calendar pops due slots in
 //! `(time, registration index)` order — a stable total order for any
-//! multiset of due times, with no dependence on insertion history. Every
-//! simulated metric produced by a `Deterministic` run is reproducible
-//! bit-for-bit. Under [`ArbitrationPolicy::SeededShuffle`] same-time
-//! ordering varies with the seed while *invariant* metrics (bytes moved,
-//! request counts) must not — a divergence across seeds is an ordering
-//! bug in the layer above, which is exactly what the arbitration-fuzz CI
-//! job hunts for.
+//! multiset of due times, with no dependence on insertion history or on
+//! whether the calendar scans or heaps. Every simulated metric produced
+//! by a `Deterministic` run is reproducible bit-for-bit. Under
+//! [`ArbitrationPolicy::SeededShuffle`] same-time ordering varies with the
+//! seed while *invariant* metrics (bytes moved, request counts) must not —
+//! a divergence across seeds is an ordering bug in the layer above, which
+//! is exactly what the arbitration-fuzz CI job hunts for.
 //!
 //! # Example
 //!
@@ -57,6 +55,8 @@
 //! assert_eq!(cal.pop(), None);
 //! ```
 
+use std::hint::select_unpredictable;
+
 use crate::SimTime;
 
 /// How slots due at the same instant are ordered.
@@ -71,10 +71,13 @@ pub enum ArbitrationPolicy {
     /// determinism fuzzing: invariant metrics must not depend on the
     /// seed.
     SeededShuffle(u64),
-    /// Slots fire in ascending priority value (0 first); ties within a
-    /// priority fall back to registration order.
-    Priority,
 }
+
+/// Calendars with at most this many slots scan the slot table instead of
+/// keeping a heap. Measured with a pop-then-retarget hold loop on random
+/// due times (EXPERIMENTS.md): the scan wins up to 12 slots, the two tie
+/// at 14, and the heap wins from 16 slots up.
+const SCAN_SLOTS: usize = 12;
 
 /// Handle to a registered event source within a [`Calendar`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,6 +91,10 @@ impl SlotId {
 }
 
 /// SplitMix64 finalizer: decorrelates `(seed, slot, time)` into a tie key.
+///
+/// For a fixed `(seed, time)` the map from slot to key is injective (an
+/// odd multiplier, then a chain of bijective mixing steps), so same-time
+/// slots never share a key and `(time, key)` alone is a total order.
 fn shuffle_key(seed: u64, slot: u32, time: SimTime) -> u64 {
     let mut z = seed
         .wrapping_add(u64::from(slot).wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -97,22 +104,50 @@ fn shuffle_key(seed: u64, slot: u32, time: SimTime) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Heap fan-out: a 4-ary heap is half as deep as a binary one, and the
+/// four children of a node share a cache line.
+const ARITY: usize = 4;
+/// `Calendar::pos` value of a slot that is not in the heap.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// One due slot, ordered by `(time, tie)`.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    due: Option<SimTime>,
-    priority: u32,
+struct Entry {
+    time: SimTime,
+    tie: u64,
+    slot: u32,
+}
+
+impl Entry {
+    /// `(time, tie)` as one integer, so comparisons compile branch-free.
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_micros()) << 64) | u128::from(self.tie)
+    }
+
+    fn before(&self, other: &Entry) -> bool {
+        self.key() < other.key()
+    }
 }
 
 /// A slot-based calendar queue with pluggable same-time arbitration.
 ///
 /// Each event source holds one slot whose due time it retargets as its
-/// schedule changes; peek and pop scan the slot table for the minimum
-/// `(time, arbitration key)`. Retargeting is a plain store, so sources
-/// may refresh their due time every iteration for free.
+/// schedule changes; the calendar hands back the minimum
+/// `(time, arbitration key)`. Calendars of up to twelve slots scan their
+/// slot table; larger ones keep an indexed heap. Either way a retarget
+/// to an unchanged due time is free, so sources may refresh their due
+/// time every iteration.
 #[derive(Debug, Default)]
 pub struct Calendar {
     policy: ArbitrationPolicy,
-    slots: Vec<Slot>,
+    /// Each slot's due time (`None` once popped or parked).
+    due: Vec<Option<SimTime>>,
+    /// Heap mode only: each slot's position in `heap`, or [`NOT_QUEUED`].
+    pos: Vec<u32>,
+    /// Heap mode only: the due slots, a 4-ary min-heap on `(time, tie)`.
+    heap: Vec<Entry>,
+    /// The root of `heap` was popped and awaits a retarget or removal.
+    held: bool,
 }
 
 impl Calendar {
@@ -120,7 +155,7 @@ impl Calendar {
     pub fn new(policy: ArbitrationPolicy) -> Self {
         Calendar {
             policy,
-            slots: Vec::new(),
+            ..Calendar::default()
         }
     }
 
@@ -134,91 +169,63 @@ impl Calendar {
     /// events scheduled under another.
     pub fn set_policy(&mut self, policy: ArbitrationPolicy) {
         debug_assert!(
-            self.slots.iter().all(|s| s.due.is_none()),
+            self.due.iter().all(Option::is_none),
             "arbitration policy changed with pending entries"
         );
         self.policy = policy;
+        if self.heaped() {
+            self.rebuild();
+        }
     }
 
-    /// Registers a new event source (priority 0) and returns its slot.
+    /// Registers a new event source and returns its slot.
     pub fn register(&mut self) -> SlotId {
-        self.register_with_priority(0)
-    }
-
-    /// Registers a new event source with an explicit priority (only
-    /// meaningful under [`ArbitrationPolicy::Priority`]; lower values
-    /// fire first at equal times).
-    pub fn register_with_priority(&mut self, priority: u32) -> SlotId {
-        let id = SlotId(self.slots.len() as u32);
-        self.slots.push(Slot {
-            due: None,
-            priority,
-        });
+        let id = SlotId(self.due.len() as u32);
+        let was_heaped = self.heaped();
+        self.due.push(None);
+        if was_heaped {
+            self.pos.push(NOT_QUEUED);
+        } else if self.heaped() {
+            self.rebuild();
+        }
         id
     }
 
     /// Number of registered slots.
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.due.len()
     }
 
     /// The slot's current due time.
     pub fn due(&self, slot: SlotId) -> Option<SimTime> {
-        self.slots.get(slot.index()).and_then(|s| s.due)
+        self.due.get(slot.index()).copied().flatten()
     }
 
-    /// The arbitration tie key for `slot` firing at `time`.
-    fn tie_key(&self, slot: u32, priority: u32, time: SimTime) -> u64 {
-        match self.policy {
-            ArbitrationPolicy::Deterministic => u64::from(slot),
-            ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, slot, time),
-            ArbitrationPolicy::Priority => (u64::from(priority) << 32) | u64::from(slot),
-        }
-    }
-
-    /// Points `slot` at a new due time (or parks it with `None`). `O(1)`.
+    /// Points `slot` at a new due time (or parks it with `None`): `O(1)`
+    /// when the due time is unchanged or the calendar scans, otherwise one
+    /// `O(log n)` sift.
     pub fn retarget(&mut self, slot: SlotId, due: Option<SimTime>) {
         let i = slot.index();
-        debug_assert!(i < self.slots.len(), "retarget of an unregistered slot");
-        if let Some(s) = self.slots.get_mut(i) {
-            s.due = due;
+        debug_assert!(i < self.due.len(), "retarget of an unregistered slot");
+        let heaped = self.heaped();
+        let Some(cur) = self.due.get_mut(i) else {
+            return;
+        };
+        if !heaped || *cur == due {
+            *cur = due;
+            return;
         }
+        *cur = due;
+        self.heap_retarget(slot.0, due);
     }
 
-    /// The earliest due `(time, slot)` without popping it: the minimum
-    /// `(time, arbitration key)` over the slot table. Tie keys are only
-    /// computed for candidates that match the running minimum time, so
-    /// the common distinct-time scan costs one comparison per slot.
+    /// The earliest due `(time, slot)` without popping it.
     pub fn peek(&mut self) -> Option<(SimTime, SlotId)> {
-        if matches!(self.policy, ArbitrationPolicy::Deterministic) {
-            // Scanning in registration order with strict `<`, the first
-            // slot at the minimum time wins — exactly the Deterministic
-            // tie rule — for one comparison per slot.
-            let mut best: Option<(SimTime, u32)> = None;
-            for (i, s) in self.slots.iter().enumerate() {
-                let Some(at) = s.due else { continue };
-                if best.is_none_or(|(bt, _)| at < bt) {
-                    best = Some((at, i as u32));
-                }
-            }
-            return best.map(|(at, slot)| (at, SlotId(slot)));
+        if self.heaped() {
+            self.heap_peek()
+        } else {
+            self.scan()
         }
-        let mut best: Option<(SimTime, u64, u32)> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            let Some(at) = s.due else { continue };
-            if let Some((bt, bk, _)) = best {
-                if at > bt {
-                    continue;
-                }
-                let key = self.tie_key(i as u32, s.priority, at);
-                if at < bt || key < bk {
-                    best = Some((at, key, i as u32));
-                }
-            } else {
-                best = Some((at, self.tie_key(i as u32, s.priority, at), i as u32));
-            }
-        }
-        best.map(|(at, _, slot)| (at, SlotId(slot)))
     }
 
     /// The earliest due time across all slots.
@@ -230,7 +237,7 @@ impl Calendar {
     /// source is expected to handle the event and retarget itself.
     pub fn pop(&mut self) -> Option<(SimTime, SlotId)> {
         let (at, slot) = self.peek()?;
-        self.slots[slot.index()].due = None;
+        self.take(slot);
         Some((at, slot))
     }
 
@@ -240,152 +247,231 @@ impl Calendar {
         if at > t {
             return None;
         }
-        self.slots[slot.index()].due = None;
+        self.take(slot);
         Some((at, slot))
     }
 
     /// True when no slot is due.
     pub fn is_empty(&mut self) -> bool {
-        self.slots.iter().all(|s| s.due.is_none())
-    }
-}
-
-/// Scheduling requests a [`Component`] makes while handling a tick.
-///
-/// A component's *own* next wake-up comes from [`Component::next_tick`],
-/// re-queried after every tick; the emitter exists for cross-component
-/// wake-ups (and for waking oneself earlier than `next_tick` reports).
-#[derive(Debug, Default)]
-pub struct Emitter {
-    wakes: Vec<(SlotId, SimTime)>,
-}
-
-impl Emitter {
-    /// Requests that `slot` be ticked no later than `at` (combined by
-    /// minimum with the slot's own `next_tick`).
-    pub fn wake(&mut self, slot: SlotId, at: SimTime) {
-        self.wakes.push((slot, at));
-    }
-}
-
-/// An event source drivable by a [`Kernel`].
-pub trait Component {
-    /// The next instant this component needs to run, if any.
-    fn next_tick(&self) -> Option<SimTime>;
-    /// Handles the tick at `now`; may request wake-ups through `emitter`.
-    fn tick(&mut self, now: SimTime, emitter: &mut Emitter);
-}
-
-/// Drives a set of boxed [`Component`]s against one shared [`Calendar`].
-///
-/// # Example
-///
-/// ```
-/// use simkit::kernel::{ArbitrationPolicy, Component, Emitter, Kernel};
-/// use simkit::{SimDuration, SimTime};
-///
-/// struct Metronome {
-///     next: Option<SimTime>,
-///     period: SimDuration,
-///     ticks: u64,
-/// }
-/// impl Component for Metronome {
-///     fn next_tick(&self) -> Option<SimTime> {
-///         self.next
-///     }
-///     fn tick(&mut self, now: SimTime, _emitter: &mut Emitter) {
-///         self.ticks += 1;
-///         self.next = (self.ticks < 3).then(|| now + self.period);
-///     }
-/// }
-///
-/// let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-/// kernel.add(Box::new(Metronome {
-///     next: Some(SimTime::ZERO),
-///     period: SimDuration::from_micros(10),
-///     ticks: 0,
-/// }));
-/// let processed = kernel.run_until(SimTime::from_micros(1_000));
-/// assert_eq!(processed, 3);
-/// ```
-pub struct Kernel {
-    components: Vec<Box<dyn Component>>,
-    calendar: Calendar,
-    now: SimTime,
-    emitter: Emitter,
-}
-
-impl std::fmt::Debug for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Kernel")
-            .field("components", &self.components.len())
-            .field("now", &self.now)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Kernel {
-    /// An empty kernel under the given arbitration policy.
-    pub fn new(policy: ArbitrationPolicy) -> Self {
-        Kernel {
-            components: Vec::new(),
-            calendar: Calendar::new(policy),
-            now: SimTime::ZERO,
-            emitter: Emitter::default(),
+        if self.heaped() {
+            self.heap.len() == usize::from(self.held)
+        } else {
+            self.due.iter().all(Option::is_none)
         }
     }
 
-    /// Adds a component (priority 0) and schedules its first tick.
-    pub fn add(&mut self, component: Box<dyn Component>) -> SlotId {
-        self.add_with_priority(component, 0)
+    /// Whether this calendar keeps a heap rather than scanning.
+    fn heaped(&self) -> bool {
+        self.due.len() > SCAN_SLOTS
     }
 
-    /// Adds a component with an explicit arbitration priority.
-    pub fn add_with_priority(&mut self, component: Box<dyn Component>, priority: u32) -> SlotId {
-        let slot = self.calendar.register_with_priority(priority);
-        self.calendar.retarget(slot, component.next_tick());
-        self.components.push(component);
-        slot
+    /// The arbitration tie key for `slot` firing at `time`.
+    fn tie(&self, slot: u32, time: SimTime) -> u64 {
+        match self.policy {
+            ArbitrationPolicy::Deterministic => u64::from(slot),
+            ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, slot, time),
+        }
     }
 
-    /// The current simulated time (the last processed tick).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The next pending tick, if any.
-    pub fn next_tick(&mut self) -> Option<SimTime> {
-        self.calendar.peek_time()
-    }
-
-    /// Runs ticks in `(time, arbitration)` order until no component is
-    /// due at or before `horizon`; returns the number of ticks processed.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some((at, slot)) = self.calendar.pop_due(horizon) {
-            debug_assert!(at >= self.now, "calendar time went backwards");
-            self.now = self.now.max(at);
-            let c = &mut self.components[slot.index()];
-            c.tick(at, &mut self.emitter);
-            self.calendar.retarget(slot, c.next_tick());
-            for (target, wake_at) in self.emitter.wakes.drain(..) {
-                let own = self.components[target.index()].next_tick();
-                let due = match own {
-                    Some(t) => Some(t.min(wake_at)),
-                    None => Some(wake_at),
-                };
-                self.calendar.retarget(target, due);
+    /// Scan mode's peek: the minimum `(time, tie)` over the slot table.
+    fn scan(&self) -> Option<(SimTime, SlotId)> {
+        if self.policy == ArbitrationPolicy::Deterministic {
+            // Scanning in registration order with strict `<`, the first
+            // slot at the minimum time wins — exactly the Deterministic
+            // tie rule.
+            let mut best: Option<(SimTime, u32)> = None;
+            for (i, due) in self.due.iter().enumerate() {
+                let Some(at) = *due else { continue };
+                if best.is_none_or(|(bt, _)| at < bt) {
+                    best = Some((at, i as u32));
+                }
             }
-            processed += 1;
+            return best.map(|(at, slot)| (at, SlotId(slot)));
         }
-        processed
+        self.scan_shuffled()
+    }
+
+    /// [`Calendar::scan`] under `SeededShuffle`, out of line so the
+    /// Deterministic scan stays a small leaf.
+    #[inline(never)]
+    fn scan_shuffled(&self) -> Option<(SimTime, SlotId)> {
+        // Tie keys are only computed for candidates that match the running
+        // minimum time, so a distinct-time scan costs one comparison per
+        // slot.
+        let mut best: Option<(SimTime, u64, u32)> = None;
+        for (i, due) in self.due.iter().enumerate() {
+            let Some(at) = *due else { continue };
+            if best.is_some_and(|(bt, _, _)| at > bt) {
+                continue;
+            }
+            let tie = self.tie(i as u32, at);
+            if best.is_none_or(|(bt, bk, _)| (at, tie) < (bt, bk)) {
+                best = Some((at, tie, i as u32));
+            }
+        }
+        best.map(|(at, _, slot)| (at, SlotId(slot)))
+    }
+
+    /// Marks the just-peeked minimum `slot` as popped. In heap mode its
+    /// entry stays at the root until the next call.
+    fn take(&mut self, slot: SlotId) {
+        self.due[slot.index()] = None;
+        self.held = self.heaped();
+    }
+
+    /// Heap mode's retarget of a slot whose due time changed. Kept out of
+    /// line (like [`Calendar::heap_peek`]) so the scan-mode fast paths
+    /// stay small leaf calls.
+    #[inline(never)]
+    fn heap_retarget(&mut self, slot: u32, due: Option<SimTime>) {
+        if self.held && self.heap[0].slot == slot {
+            // Replace-top: the popped root takes its new due time in place.
+            self.held = false;
+            match due {
+                Some(at) => self.rekey(0, at),
+                None => self.remove(0),
+            }
+            return;
+        }
+        self.settle();
+        match (self.pos[slot as usize], due) {
+            (NOT_QUEUED, Some(at)) => {
+                let tie = self.tie(slot, at);
+                self.heap.push(Entry {
+                    time: at,
+                    tie,
+                    slot,
+                });
+                self.sift_up(self.heap.len() - 1);
+            }
+            (NOT_QUEUED, None) => {}
+            (p, Some(at)) => self.rekey(p as usize, at),
+            (p, None) => self.remove(p as usize),
+        }
+    }
+
+    /// Heap mode's peek: the root, once a held root is settled.
+    #[inline(never)]
+    fn heap_peek(&mut self) -> Option<(SimTime, SlotId)> {
+        self.settle();
+        self.heap.first().map(|e| (e.time, SlotId(e.slot)))
+    }
+
+    /// Removes a held root, making the heap hold exactly the due slots.
+    fn settle(&mut self) {
+        if self.held {
+            self.held = false;
+            self.remove(0);
+        }
+    }
+
+    /// Rebuilds the heap from the slot table (on switching to heap mode
+    /// or changing the policy).
+    fn rebuild(&mut self) {
+        self.held = false;
+        self.pos = vec![NOT_QUEUED; self.due.len()];
+        self.heap = Vec::with_capacity(self.due.len());
+        for (i, due) in self.due.iter().enumerate() {
+            if let Some(at) = *due {
+                let tie = self.tie(i as u32, at);
+                self.heap.push(Entry {
+                    time: at,
+                    tie,
+                    slot: i as u32,
+                });
+            }
+        }
+        for p in (0..self.heap.len()).rev() {
+            self.sift_down(p);
+        }
+    }
+
+    /// Gives the entry at `p` a new due time and restores heap order.
+    fn rekey(&mut self, p: usize, at: SimTime) {
+        let old = self.heap[p];
+        let e = Entry {
+            time: at,
+            tie: self.tie(old.slot, at),
+            slot: old.slot,
+        };
+        self.heap[p] = e;
+        if e.before(&old) {
+            self.sift_up(p);
+        } else {
+            self.sift_down(p);
+        }
+    }
+
+    /// Removes the entry at `p`, filling the hole with the last entry.
+    fn remove(&mut self, p: usize) {
+        self.pos[self.heap[p].slot as usize] = NOT_QUEUED;
+        let Some(last) = self.heap.pop() else {
+            return;
+        };
+        if p == self.heap.len() {
+            return;
+        }
+        self.heap[p] = last;
+        if p > 0 && last.before(&self.heap[(p - 1) / ARITY]) {
+            self.sift_up(p);
+        } else {
+            self.sift_down(p);
+        }
+    }
+
+    fn sift_up(&mut self, mut p: usize) {
+        let e = self.heap[p];
+        while p > 0 {
+            let parent = (p - 1) / ARITY;
+            let up = self.heap[parent];
+            if !e.before(&up) {
+                break;
+            }
+            self.heap[p] = up;
+            self.pos[up.slot as usize] = p as u32;
+            p = parent;
+        }
+        self.heap[p] = e;
+        self.pos[e.slot as usize] = p as u32;
+    }
+
+    fn sift_down(&mut self, mut p: usize) {
+        let e = self.heap[p];
+        let n = self.heap.len();
+        loop {
+            let first = p * ARITY + 1;
+            if first >= n {
+                break;
+            }
+            // The smallest child. Which child wins is unpredictable, so a
+            // full family is settled by a branch-free tournament.
+            let (best, key) = if let Some(kids) = self.heap.get(first..first + ARITY) {
+                let pick =
+                    |a: (usize, u128), b: (usize, u128)| select_unpredictable(b.1 < a.1, b, a);
+                let left = pick((first, kids[0].key()), (first + 1, kids[1].key()));
+                let right = pick((first + 2, kids[2].key()), (first + 3, kids[3].key()));
+                pick(left, right)
+            } else {
+                (first..n)
+                    .map(|c| (c, self.heap[c].key()))
+                    .fold((first, u128::MAX), |a, b| if b.1 < a.1 { b } else { a })
+            };
+            if key >= e.key() {
+                break;
+            }
+            let child = self.heap[best];
+            self.heap[p] = child;
+            self.pos[child.slot as usize] = p as u32;
+            p = best;
+        }
+        self.heap[p] = e;
+        self.pos[e.slot as usize] = p as u32;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -393,14 +479,16 @@ mod tests {
 
     #[test]
     fn deterministic_orders_by_registration_at_ties() {
-        let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
-        let slots: Vec<SlotId> = (0..5).map(|_| cal.register()).collect();
-        // Insert in reverse registration order at one instant.
-        for s in slots.iter().rev() {
-            cal.retarget(*s, Some(t(7)));
+        for n in [5, 3 * SCAN_SLOTS] {
+            let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
+            let slots: Vec<SlotId> = (0..n).map(|_| cal.register()).collect();
+            // Insert in reverse registration order at one instant.
+            for s in slots.iter().rev() {
+                cal.retarget(*s, Some(t(7)));
+            }
+            let popped: Vec<SlotId> = std::iter::from_fn(|| cal.pop().map(|(_, s)| s)).collect();
+            assert_eq!(popped, slots);
         }
-        let popped: Vec<SlotId> = std::iter::from_fn(|| cal.pop().map(|(_, s)| s)).collect();
-        assert_eq!(popped, slots);
     }
 
     #[test]
@@ -429,18 +517,19 @@ mod tests {
     }
 
     #[test]
-    fn priority_orders_before_registration() {
-        let mut cal = Calendar::new(ArbitrationPolicy::Priority);
-        let low = cal.register_with_priority(9);
-        let high = cal.register_with_priority(1);
-        cal.retarget(low, Some(t(2)));
-        cal.retarget(high, Some(t(2)));
-        assert_eq!(cal.pop(), Some((t(2), high)));
-        assert_eq!(cal.pop(), Some((t(2), low)));
-        // Time still dominates priority.
-        cal.retarget(low, Some(t(1)));
-        cal.retarget(high, Some(t(3)));
-        assert_eq!(cal.pop(), Some((t(1), low)));
+    fn crossing_the_scan_threshold_keeps_pending_slots() {
+        let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
+        let first: Vec<SlotId> = (0..SCAN_SLOTS).map(|_| cal.register()).collect();
+        for (i, s) in first.iter().enumerate() {
+            cal.retarget(*s, Some(t(100 - i as u64)));
+        }
+        let late = cal.register();
+        cal.retarget(late, Some(t(1)));
+        assert_eq!(cal.pop(), Some((t(1), late)));
+        for s in first.iter().rev() {
+            assert_eq!(cal.pop().map(|(_, s)| s), Some(*s));
+        }
+        assert_eq!(cal.pop(), None);
     }
 
     #[test]
@@ -467,10 +556,9 @@ mod tests {
         for policy in [
             ArbitrationPolicy::Deterministic,
             ArbitrationPolicy::SeededShuffle(99),
-            ArbitrationPolicy::Priority,
         ] {
             let mut cal = Calendar::new(policy);
-            let slots: Vec<SlotId> = (0..8).map(|i| cal.register_with_priority(8 - i)).collect();
+            let slots: Vec<SlotId> = (0..8).map(|_| cal.register()).collect();
             for (i, s) in slots.iter().enumerate() {
                 cal.retarget(*s, Some(t(((i as u64) * 13) % 5)));
             }
@@ -480,73 +568,5 @@ mod tests {
                 last = at;
             }
         }
-    }
-
-    struct Pinger {
-        peer: Option<SlotId>,
-        next: Option<SimTime>,
-        seen: u64,
-    }
-
-    impl Component for Pinger {
-        fn next_tick(&self) -> Option<SimTime> {
-            self.next
-        }
-        fn tick(&mut self, now: SimTime, emitter: &mut Emitter) {
-            self.seen += 1;
-            self.next = None;
-            if let Some(peer) = self.peer {
-                if self.seen < 3 {
-                    emitter.wake(peer, now + SimDuration::from_micros(5));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_delivers_cross_component_wakes() {
-        // a pings b, b pings a, until each has seen 3 ticks. Slots are
-        // registered first so each pinger can name its peer.
-        let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-        let a = kernel.calendar.register();
-        let b = kernel.calendar.register();
-        kernel.components.push(Box::new(Pinger {
-            peer: Some(b),
-            next: Some(t(0)),
-            seen: 0,
-        }));
-        kernel.components.push(Box::new(Pinger {
-            peer: Some(a),
-            next: None,
-            seen: 0,
-        }));
-        kernel
-            .calendar
-            .retarget(a, kernel.components[0].next_tick());
-        kernel
-            .calendar
-            .retarget(b, kernel.components[1].next_tick());
-        let processed = kernel.run_until(t(1_000));
-        assert_eq!(processed, 5, "ping-pong: a,b,a,b,a");
-        assert_eq!(kernel.now(), t(20));
-    }
-
-    #[test]
-    fn kernel_counts_and_stops_at_horizon() {
-        struct Every10 {
-            next: Option<SimTime>,
-        }
-        impl Component for Every10 {
-            fn next_tick(&self) -> Option<SimTime> {
-                self.next
-            }
-            fn tick(&mut self, now: SimTime, _e: &mut Emitter) {
-                self.next = Some(now + SimDuration::from_micros(10));
-            }
-        }
-        let mut kernel = Kernel::new(ArbitrationPolicy::Deterministic);
-        kernel.add(Box::new(Every10 { next: Some(t(0)) }));
-        assert_eq!(kernel.run_until(t(55)), 6); // 0,10,20,30,40,50
-        assert_eq!(kernel.next_tick(), Some(t(60)));
     }
 }

@@ -17,8 +17,8 @@
 //! * [`hash`] — a deterministic fixed-seed FxHash-style hasher for
 //!   hot-path maps (identical hashes on every platform and process),
 //! * [`kernel`] — the unified event kernel: a slot-based calendar queue
-//!   with pluggable same-time arbitration, plus a [`kernel::Component`]
-//!   trait and driver for composing event sources,
+//!   (an indexed heap past a handful of slots) with pluggable same-time
+//!   arbitration,
 //! * [`pool`] — a bounded deterministic thread-pool executor for fanning
 //!   out independent simulations (`--jobs` changes wall time, not results),
 //! * [`span`] — causal span trees folded from the trace stream: access

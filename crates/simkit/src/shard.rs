@@ -105,8 +105,9 @@ impl GlobalSlot {
 /// A component that lives on a shard and interacts with the rest of the
 /// scene exclusively through timestamped messages.
 ///
-/// The contract mirrors [`crate::kernel::Component`] but replaces the
-/// shared-heap emitter with addressed sends: all interaction between
+/// Each component owns one slot of its shard's
+/// [`Calendar`](crate::kernel::Calendar), retargeted from
+/// [`Self::next_tick`] after every callback. All interaction between
 /// components must go through [`ShardCtx::send`] with a delivery latency
 /// of at least the kernel's epoch window.
 pub trait ShardComponent<M>: Send {

@@ -5,6 +5,44 @@ use simkit::kernel::{ArbitrationPolicy, Calendar};
 use simkit::stats::{BucketHistogram, OnlineStats};
 use simkit::{DetRng, EventQueue, SimDuration, SimTime};
 
+/// The documented `SeededShuffle` tie key: a SplitMix64 finalizer over
+/// `(seed, slot, time)`, restated here so the model pins the exact
+/// same-instant order rather than just "some permutation".
+fn shuffle_key(seed: u64, slot: usize, time: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add((slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_add(time.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Naive reference calendar: one due time per slot, the earliest found
+/// by scanning every slot for the minimum `(time, tie key)`.
+struct Model {
+    policy: ArbitrationPolicy,
+    due: Vec<Option<u64>>,
+}
+
+impl Model {
+    /// The due slots as `((time, tie key), slot)`; sorted, this is the
+    /// pop order.
+    fn queued(&self) -> impl Iterator<Item = ((u64, u64), usize)> + '_ {
+        self.due.iter().enumerate().filter_map(|(i, due)| {
+            let t = (*due)?;
+            let tie = match self.policy {
+                ArbitrationPolicy::Deterministic => i as u64,
+                ArbitrationPolicy::SeededShuffle(seed) => shuffle_key(seed, i, t),
+            };
+            Some(((t, tie), i))
+        })
+    }
+
+    fn peek(&self) -> Option<(u64, usize)> {
+        self.queued().min().map(|((t, _), i)| (t, i))
+    }
+}
+
 /// Drains a calendar whose slots were targeted at `times[i]`, returning
 /// the fired `(time, slot index)` sequence.
 fn drain(policy: ArbitrationPolicy, times: &[u64]) -> Vec<(SimTime, usize)> {
@@ -163,7 +201,6 @@ proptest! {
         for policy in [
             ArbitrationPolicy::Deterministic,
             ArbitrationPolicy::SeededShuffle(seed),
-            ArbitrationPolicy::Priority,
         ] {
             let fired = drain(policy, &times);
             prop_assert_eq!(fired.len(), times.len());
@@ -174,83 +211,83 @@ proptest! {
         }
     }
 
-    /// Model check for retargeting against a naive map from slot to its
-    /// single pending target: a random interleaving of retargets —
-    /// including cancels and retargets of idle slots that already fired
-    /// or were never armed — and pops matches the model exactly, and the
-    /// final drain fires the surviving targets in (time, slot) order.
+    /// Model check against a naive reference calendar (one due time per
+    /// slot, minimum found by a full scan under the policy's tie rule).
+    /// Calendars from one slot to ~5000 — both sides of the scan/heap
+    /// crossover — start with none, a random quarter, half, three
+    /// quarters or all of their slots armed, then run a random
+    /// interleaving of retargets (including cancels, retargets of idle
+    /// slots that already fired or were never armed, and re-arming the
+    /// slot just popped), pops, bounded pops, peeks, emptiness and
+    /// due-time queries. A narrow time spread piles
+    /// many slots onto one instant. Every answer must match the model,
+    /// and the final drain fires the survivors in the model's order.
     #[test]
     fn calendar_retarget_while_idle_matches_model(
-        slots in 1usize..12,
-        // A raw target of 100..110 encodes a cancel (retarget to None).
-        ops in prop::collection::vec(
-            (0usize..12, 0u64..110, any::<bool>()),
-            1..200,
-        ),
+        slots in prop_oneof![1usize..9, 9usize..64, 64usize..5_000],
+        shuffle in any::<bool>(),
+        seed in any::<u64>(),
+        spread in prop_oneof![1u64..4, 4u64..1_000_000],
+        armed_quarters in 0u64..5,
+        // (op, slot pick, target): a target of 100..110 encodes a cancel.
+        ops in prop::collection::vec((0u8..8, any::<u64>(), 0u64..110), 1..300),
     ) {
-        let mut cal = Calendar::new(ArbitrationPolicy::Deterministic);
+        let policy = if shuffle {
+            ArbitrationPolicy::SeededShuffle(seed)
+        } else {
+            ArbitrationPolicy::Deterministic
+        };
+        let mut cal = Calendar::new(policy);
+        let mut model = Model { policy, due: vec![None; slots] };
         let handles: Vec<_> = (0..slots).map(|_| cal.register()).collect();
-        let mut model: Vec<Option<u64>> = vec![None; slots];
-        for &(raw, raw_target, do_pop) in &ops {
-            let target = (raw_target < 100).then_some(raw_target);
-            if do_pop {
-                let expected = model
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| t.map(|t| (t, i)))
-                    .min();
-                let got = cal.pop().map(|(t, s)| (t.as_micros(), s.index()));
-                prop_assert_eq!(got, expected);
-                if let Some((_, i)) = expected {
-                    model[i] = None;
-                }
-            } else {
-                let s = raw % slots;
-                cal.retarget(handles[s], target.map(SimTime::from_micros));
-                model[s] = target;
+        let mut rng = DetRng::new(seed);
+        for (i, slot) in handles.iter().enumerate() {
+            if rng.range_u64(0, 3) < armed_quarters {
+                let at = rng.range_u64(0, spread - 1);
+                cal.retarget(*slot, Some(SimTime::from_micros(at)));
+                model.due[i] = Some(at);
             }
         }
-        let mut rest: Vec<(u64, usize)> = model
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (t, i)))
-            .collect();
-        rest.sort_unstable();
+        let mut last_popped: Option<usize> = None;
+        for &(op, pick, raw_target) in &ops {
+            let target = (raw_target < 100).then(|| raw_target * spread / 100);
+            let pick = pick as usize % slots;
+            match op {
+                0..=2 => {
+                    // Op 2 re-arms the slot just popped (the replace-top path).
+                    let s = if op == 2 { last_popped.unwrap_or(pick) } else { pick };
+                    cal.retarget(handles[s], target.map(SimTime::from_micros));
+                    model.due[s] = target;
+                }
+                3 | 4 => {
+                    let bound = if op == 4 { raw_target * spread / 100 } else { u64::MAX };
+                    let expected = model.peek().filter(|&(t, _)| t <= bound);
+                    let got = if op == 4 {
+                        cal.pop_due(SimTime::from_micros(bound))
+                    } else {
+                        cal.pop()
+                    };
+                    prop_assert_eq!(got.map(|(t, s)| (t.as_micros(), s.index())), expected);
+                    if let Some((_, i)) = expected {
+                        model.due[i] = None;
+                        last_popped = Some(i);
+                    }
+                }
+                5 => {
+                    let got = cal.peek().map(|(t, s)| (t.as_micros(), s.index()));
+                    prop_assert_eq!(got, model.peek());
+                }
+                6 => prop_assert_eq!(cal.is_empty(), model.due.iter().all(Option::is_none)),
+                _ => prop_assert_eq!(cal.due(handles[pick]).map(|t| t.as_micros()), model.due[pick]),
+            }
+        }
         let mut drained = Vec::new();
         while let Some((t, s)) = cal.pop() {
             drained.push((t.as_micros(), s.index()));
         }
+        let mut rest: Vec<_> = model.queued().collect();
+        rest.sort_unstable();
+        let rest: Vec<_> = rest.into_iter().map(|((t, _), i)| (t, i)).collect();
         prop_assert_eq!(drained, rest);
-    }
-
-    /// Priority arbitration never inverts distinct priorities at the same
-    /// instant: among same-time events the lower priority value always
-    /// fires first.
-    #[test]
-    fn priority_arbitration_never_inverts_distinct_priorities(
-        entries in prop::collection::vec((0u64..20, 0u32..8), 1..100),
-    ) {
-        let mut cal = Calendar::new(ArbitrationPolicy::Priority);
-        let mut priority_of = Vec::new();
-        for &(t, prio) in &entries {
-            let slot = cal.register_with_priority(prio);
-            cal.retarget(slot, Some(SimTime::from_micros(t)));
-            priority_of.push(prio);
-        }
-        let mut fired = Vec::new();
-        while let Some((t, s)) = cal.pop() {
-            fired.push((t, priority_of[s.index()]));
-        }
-        prop_assert_eq!(fired.len(), entries.len());
-        for w in fired.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(
-                    w[0].1 <= w[1].1,
-                    "priority inversion at {:?}: {} fired before {}",
-                    w[0].0, w[1].1, w[0].1
-                );
-            }
-        }
     }
 }
