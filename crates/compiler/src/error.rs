@@ -56,6 +56,25 @@ pub enum CompileError {
         /// The duplicated index.
         index: usize,
     },
+    /// An access's signature ranges over a different number of I/O nodes
+    /// than the first access's, so their distances are incomparable.
+    SignatureWidthMismatch {
+        /// Index of the offending access.
+        index: usize,
+        /// Its signature width.
+        width: usize,
+        /// The width of the first access's signature.
+        expected: usize,
+    },
+    /// An access's slack ends before it begins.
+    InvertedSlack {
+        /// Index of the offending access.
+        index: usize,
+        /// The slack's first slot.
+        begin: u32,
+        /// The slack's last slot.
+        end: u32,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -89,6 +108,17 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::DuplicateAccessIndex { index } => {
                 write!(f, "duplicate access index {index}")
+            }
+            CompileError::SignatureWidthMismatch {
+                index,
+                width,
+                expected,
+            } => write!(
+                f,
+                "access {index} has a signature over {width} I/O nodes, expected {expected}"
+            ),
+            CompileError::InvertedSlack { index, begin, end } => {
+                write!(f, "access {index} has an inverted slack [{begin}, {end}]")
             }
         }
     }

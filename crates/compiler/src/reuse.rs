@@ -121,23 +121,40 @@ impl GroupState {
     /// Returns `true` if `proc` already has an access scheduled anywhere in
     /// `[start, start + length)`.
     pub fn occupied(&self, proc: usize, start: u32, length: u32) -> bool {
-        let end = (start + length).min(self.total_slots);
+        let end = start.saturating_add(length).min(self.total_slots);
         (start..end).any(|s| self.occupied[s as usize * self.nprocs + proc])
     }
 
     /// Records an access with signature `sig` from `proc` occupying
     /// `[start, start + length)`: its unit sub-accesses join every covered
     /// slot's group signature and node counts (§IV-B2).
-    pub fn place(&mut self, proc: usize, start: u32, length: u32, sig: &Signature) {
-        let end = (start + length).min(self.total_slots);
+    ///
+    /// Returns the first and last slot whose group signature grew, or
+    /// `None` when the union added no node anywhere. Reuse factors depend
+    /// on the group signatures only, so a `None` placement leaves every
+    /// `R_t` unchanged.
+    pub fn place(
+        &mut self,
+        proc: usize,
+        start: u32,
+        length: u32,
+        sig: &Signature,
+    ) -> Option<(u32, u32)> {
+        let end = start.saturating_add(length).min(self.total_slots);
+        let mut grew: Option<(u32, u32)> = None;
         for s in start..end {
             let idx = s as usize;
-            self.group[idx] = self.group[idx].union(sig);
+            let union = self.group[idx].union(sig);
+            if union != self.group[idx] {
+                self.group[idx] = union;
+                grew = Some((grew.map_or(s, |(first, _)| first), s));
+            }
             for node in sig.nodes().iter() {
                 self.counts[idx * self.width + node] += 1;
             }
             self.occupied[idx * self.nprocs + proc] = true;
         }
+        grew
     }
 
     /// The reuse factor `R_t` of Eq. 2 for placing `sig` (length `length`)
@@ -225,7 +242,7 @@ impl GroupState {
     /// touched node's access count within `theta` at every covered slot
     /// (§IV-B3).
     pub fn theta_ok(&self, sig: &Signature, t: u32, length: u32, theta: u16) -> bool {
-        let end = (t + length).min(self.total_slots);
+        let end = t.saturating_add(length).min(self.total_slots);
         (t..end).all(|s| {
             sig.nodes()
                 .iter()
@@ -238,7 +255,7 @@ impl GroupState {
     /// the (slot, node) pairs that exceed θ. Zero when the placement is
     /// eligible.
     pub fn overflow_cost(&self, sig: &Signature, t: u32, length: u32, theta: u16) -> f64 {
-        let end = (t + length).min(self.total_slots);
+        let end = t.saturating_add(length).min(self.total_slots);
         let mut excess = 0u64;
         let mut offenders = 0u64;
         for s in t..end {
@@ -296,6 +313,20 @@ mod tests {
         // Span queries.
         assert!(st.occupied(0, 3, 2));
         assert!(!st.occupied(0, 0, 4));
+    }
+
+    #[test]
+    fn place_reports_the_slots_whose_group_grew() {
+        let mut st = GroupState::new(16, 10, 2);
+        assert_eq!(st.place(0, 2, 3, &sig16(&[1])), Some((2, 4)));
+        // The same nodes again: counts and occupancy change, groups don't.
+        assert_eq!(st.place(1, 3, 2, &sig16(&[1])), None);
+        assert_eq!(st.count_at(3, 1), 2);
+        // Only slots 4 and 5 gain node 2; slot 3 already has it.
+        st.place(1, 3, 1, &sig16(&[2]));
+        assert_eq!(st.place(0, 3, 3, &sig16(&[1, 2])), Some((4, 5)));
+        // Clipped at the last slot.
+        assert_eq!(st.place(0, 9, 4, &sig16(&[3])), Some((9, 9)));
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! "data accesses with shorter slacks are more constrained … it makes
 //! sense to schedule them first".
 
+use std::collections::hash_map::Entry;
+
+use simkit::hash::FxHashMap;
 use simkit::DetRng;
 
 use crate::error::CompileError;
 use crate::reuse::{GroupState, WeightFn};
+use crate::signature::Signature;
 use crate::slack::SchedulableAccess;
 use crate::trace::{IoInstance, ProgramTrace};
 
@@ -124,8 +128,11 @@ impl SchedulerConfig {
     /// # Errors
     ///
     /// Returns a [`CompileError`] when a scheduler knob is out of range
-    /// (see [`SchedulerConfig::validate`]), when the trace is empty, or
-    /// when an access references a process or slot outside the trace.
+    /// (see [`SchedulerConfig::validate`]), when the trace is empty, when
+    /// an access references a process or slot outside the trace, has an
+    /// inverted slack or a signature of another width than the first
+    /// access's, or when the access indices are not `0..accesses.len()`
+    /// each exactly once.
     pub fn schedule(
         &self,
         accesses: &[SchedulableAccess],
@@ -135,12 +142,14 @@ impl SchedulerConfig {
         if trace.total_slots == 0 {
             return Err(CompileError::EmptyTrace);
         }
-        let nprocs_in_trace = trace.processes.len();
+        let nprocs = trace.processes.len();
+        let width = accesses.first().map(|a| a.signature.width()).unwrap_or(1);
+        let mut seen = vec![false; accesses.len()];
         for a in accesses {
-            if a.io.proc >= nprocs_in_trace {
+            if a.io.proc >= nprocs {
                 return Err(CompileError::ProcOutOfRange {
                     proc: a.io.proc,
-                    nprocs: nprocs_in_trace,
+                    nprocs,
                 });
             }
             if a.io.slot >= trace.total_slots || a.end >= trace.total_slots {
@@ -149,14 +158,47 @@ impl SchedulerConfig {
                     total_slots: trace.total_slots,
                 });
             }
+            if a.begin > a.end {
+                return Err(CompileError::InvertedSlack {
+                    index: a.index,
+                    begin: a.begin,
+                    end: a.end,
+                });
+            }
+            if a.signature.width() != width {
+                return Err(CompileError::SignatureWidthMismatch {
+                    index: a.index,
+                    width: a.signature.width(),
+                    expected: width,
+                });
+            }
+            match seen.get_mut(a.index) {
+                None => {
+                    return Err(CompileError::AccessIndexOutOfRange {
+                        index: a.index,
+                        count: accesses.len(),
+                    })
+                }
+                Some(true) => return Err(CompileError::DuplicateAccessIndex { index: a.index }),
+                Some(slot) => *slot = true,
+            }
         }
-        let width = accesses.first().map(|a| a.signature.width()).unwrap_or(1);
-        let nprocs = trace.processes.len();
-        let mut state = GroupState::new(width, trace.total_slots, nprocs);
-        let mut rng = DetRng::new(self.seed);
         let mut points: Vec<u32> = vec![0; accesses.len()];
+        if accesses.is_empty() {
+            return Ok(ScheduleTable::build(
+                accesses,
+                points,
+                nprocs,
+                trace.total_slots,
+            ));
+        }
+        let mut state = GroupState::new(width, trace.total_slots, nprocs);
+        let mut scores = ScoreCache::new(trace.total_slots, self.delta);
+        let wtab = self.weights.table_for(self.delta);
+        let mut rng = DetRng::new(self.seed);
 
         // Fixed accesses first: they anchor group signatures and θ counts.
+        // The score cache is still empty, so there is nothing to invalidate.
         for a in accesses.iter().filter(|a| !a.movable) {
             state.place(a.io.proc, a.begin, a.io.length, &a.signature);
             points[a.index] = a.begin;
@@ -167,8 +209,10 @@ impl SchedulerConfig {
         order.sort_by_key(|a| (a.slack_len(), a.index));
 
         for a in order {
-            let slot = self.pick_slot(a, &state, &mut rng);
-            state.place(a.io.proc, slot, a.io.length, &a.signature);
+            let slot = self.pick_slot(a, &state, &mut scores, &wtab, &mut rng);
+            if let Some(grew) = state.place(a.io.proc, slot, a.io.length, &a.signature) {
+                scores.invalidate(grew);
+            }
             points[a.index] = slot;
         }
 
@@ -181,36 +225,59 @@ impl SchedulerConfig {
     }
 
     /// Chooses the scheduling point for one access given the current state.
-    fn pick_slot(&self, a: &SchedulableAccess, state: &GroupState, rng: &mut DetRng) -> u32 {
+    fn pick_slot(
+        &self,
+        a: &SchedulableAccess,
+        state: &GroupState,
+        scores: &mut ScoreCache,
+        wtab: &[f64],
+        rng: &mut DetRng,
+    ) -> u32 {
         let last_start = state.total_slots().saturating_sub(a.io.length).min(a.end);
         let hi = last_start.max(a.begin);
         let span = (hi - a.begin + 1) as usize;
         let mut candidates: Vec<(u32, f64)> = Vec::new();
-        // Candidate windows overlap heavily within one access's slack, so
-        // the per-slot inverse distances are memoized across candidates
-        // (bitwise-identical to recomputing; see `reuse_factor_memo`).
+        // Cached keys read and fill their `R_t` table, whose misses reuse
+        // the key's per-slot inverse distances. An uncached key memoizes
+        // its inverse distances for this access only: candidate windows
+        // overlap heavily within one slack. Either way each value is
+        // bitwise-identical to recomputing (see `reuse_factor_memo`).
+        let mut cached = scores.key(&a.signature, a.io.length);
         let memo_lo = (a.begin as i64 - self.delta as i64).max(0) as u32;
         let memo_hi = (hi as i64 + a.io.length as i64 - 1 + self.delta as i64)
             .min(state.total_slots() as i64 - 1);
-        let memo_len = (memo_hi - memo_lo as i64 + 1).max(0) as usize;
+        let memo_len = match cached {
+            Some(_) => 0,
+            None => (memo_hi - memo_lo as i64 + 1).max(0) as usize,
+        };
         let mut memo = vec![f64::NAN; memo_len];
-        let wtab = self.weights.table_for(self.delta);
-        let consider =
-            |state: &GroupState, candidates: &mut Vec<(u32, f64)>, memo: &mut [f64], t: u32| {
-                if state.occupied(a.io.proc, t, a.io.length) {
-                    return; // the slot is unavailable (Fig. 11 line 8).
-                }
-                let r = state.reuse_factor_memo(
+        let mut consider = |t: u32| {
+            if state.occupied(a.io.proc, t, a.io.length) {
+                return; // the slot is unavailable (Fig. 11 line 8).
+            }
+            let score = |memo_lo: u32, memo: &mut [f64]| {
+                state.reuse_factor_memo(
                     &a.signature,
                     t,
                     a.io.length,
                     self.delta,
-                    &wtab,
+                    wtab,
                     memo_lo,
                     memo,
-                );
-                candidates.push((t, r));
+                )
             };
+            let r = match cached.as_deref_mut() {
+                Some(KeyScores { r, inv }) => {
+                    let slot = &mut r[t as usize];
+                    if slot.is_nan() {
+                        *slot = score(0, inv);
+                    }
+                    *slot
+                }
+                None => score(memo_lo, &mut memo),
+            };
+            candidates.push((t, r));
+        };
         match self.max_candidates {
             Some(cap) if span > cap.max(2) => {
                 // Evenly sample the slack, always keeping its ends.
@@ -221,14 +288,14 @@ impl SchedulerConfig {
                     let t = a.begin + (k as f64 * step).round() as u32;
                     let t = t.min(hi);
                     if last != Some(t) {
-                        consider(state, &mut candidates, &mut memo, t);
+                        consider(t);
                         last = Some(t);
                     }
                 }
             }
             _ => {
                 for t in a.begin..=hi {
-                    consider(state, &mut candidates, &mut memo, t);
+                    consider(t);
                 }
             }
         }
@@ -237,60 +304,135 @@ impl SchedulerConfig {
             // fall back to the original program point.
             return a.io.slot.min(last_start.max(a.begin));
         }
-        match self.theta {
-            None => pick_max_reuse(&candidates, rng),
+        let ties = match self.theta {
+            None => max_ties(candidates.iter().copied(), |_| true),
             Some(theta) => {
-                // Check slots in non-increasing reuse order until one
-                // satisfies θ at every covered iteration. Reuse factors
-                // are finite (validated weights), so total_cmp orders
-                // them exactly as partial_cmp would.
-                let mut sorted = candidates.clone();
-                sorted.sort_by(|x, y| y.1.total_cmp(&x.1));
-                for &(t, best_r) in &sorted {
-                    if state.theta_ok(&a.signature, t, a.io.length, theta) {
-                        // Collect the ties at this reuse level that also
-                        // satisfy θ, then tie-break randomly.
-                        let ties: Vec<(u32, f64)> = sorted
-                            .iter()
-                            .filter(|&&(tt, rr)| {
-                                rr == best_r && state.theta_ok(&a.signature, tt, a.io.length, theta)
-                            })
-                            .copied()
-                            .collect();
-                        return pick_max_reuse(&ties, rng);
-                    }
+                // The best reuse level among the slots that satisfy θ at
+                // every covered iteration.
+                let ties = max_ties(candidates.iter().copied(), |t| {
+                    state.theta_ok(&a.signature, t, a.io.length, theta)
+                });
+                if ties.is_empty() {
+                    // No slot satisfies θ: minimize the average overflow E_t.
+                    let costed = candidates.iter().map(|&(t, _)| {
+                        (t, -state.overflow_cost(&a.signature, t, a.io.length, theta))
+                    });
+                    max_ties(costed, |_| true)
+                } else {
+                    ties
                 }
-                // No slot satisfies θ: minimize the average overflow E_t.
-                let costed: Vec<(u32, f64)> = candidates
-                    .iter()
-                    .map(|&(t, _)| (t, -state.overflow_cost(&a.signature, t, a.io.length, theta)))
-                    .collect();
-                pick_max_reuse(&costed, rng)
+            }
+        };
+        match rng.choose(&ties) {
+            Some(&t) => t,
+            None => {
+                // `candidates` is non-empty, so some candidate always ties;
+                // fall back to the first rather than abort mid-schedule.
+                debug_assert!(false, "at least one candidate");
+                candidates.first().map_or(a.begin, |&(t, _)| t)
             }
         }
     }
 }
 
-/// Among `(slot, score)` candidates, returns a slot with the maximum
-/// score, breaking exact ties uniformly at random (§IV-B1: "If there are
+/// The slots, in candidate order, of the `eligible` candidates whose
+/// score equals the maximum eligible score (§IV-B1: "If there are
 /// multiple slots having the same reuse factor, we randomly choose one").
-fn pick_max_reuse(candidates: &[(u32, f64)], rng: &mut DetRng) -> u32 {
-    let best = candidates
-        .iter()
-        .map(|&(_, r)| r)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let ties: Vec<u32> = candidates
-        .iter()
-        .filter(|&&(_, r)| r == best)
-        .map(|&(t, _)| t)
-        .collect();
-    match rng.choose(&ties) {
-        Some(&t) => t,
-        None => {
-            // Callers never pass an empty candidate list; fall back to the
-            // first candidate (or slot 0) rather than abort mid-schedule.
-            debug_assert!(false, "at least one candidate");
-            candidates.first().map(|&(t, _)| t).unwrap_or(0)
+/// `eligible` is asked only about candidates scoring at least the running
+/// best, since no other can join the ties.
+///
+/// Scores are never NaN, so this single pass yields exactly the list a
+/// stable descending sort followed by an equal-score scan would.
+fn max_ties(
+    candidates: impl Iterator<Item = (u32, f64)>,
+    mut eligible: impl FnMut(u32) -> bool,
+) -> Vec<u32> {
+    let mut ties = Vec::new();
+    let mut best = f64::NEG_INFINITY;
+    for (t, r) in candidates {
+        if r < best || !eligible(t) {
+            continue;
+        }
+        if r > best {
+            best = r;
+            ties.clear();
+        }
+        ties.push(t);
+    }
+    ties
+}
+
+/// Upper bound on the `(signature, length)` keys whose reuse factors
+/// [`ScoreCache`] keeps. Paper-scale traces have about eight keys per
+/// application; accesses past the bound are scored uncached, so a trace
+/// with thousands of distinct signatures stays within
+/// `2 × MAX_SCORED_KEYS × total_slots` cached values.
+const MAX_SCORED_KEYS: usize = 32;
+
+/// Reuse factors `R_t` per slot for each `(signature, length)` key seen,
+/// valid for one [`SchedulerConfig::schedule`] call (δ and σ are fixed).
+///
+/// `R_t` for a key of length `l` reads only the group signatures in
+/// `[t − δ, t + l − 1 + δ]`, so a cached value stays exact until a
+/// placement grows a group signature inside that window; `invalidate`
+/// clears exactly those entries. `NAN` marks a value not computed yet
+/// (reuse factors are always finite). Invalidation visits the keys in map
+/// order, which cannot change any value.
+#[derive(Debug)]
+struct ScoreCache {
+    total_slots: u32,
+    delta: u32,
+    keys: FxHashMap<(Signature, u32), KeyScores>,
+}
+
+/// The cached values of one `(signature, length)` key, indexed by slot.
+#[derive(Debug)]
+struct KeyScores {
+    /// `R_t` of placing the key's access at slot `t`.
+    r: Vec<f64>,
+    /// `1 / distance(signature, G_u)` per slot `u`: the
+    /// [`GroupState::reuse_factor_memo`] memo, kept across accesses.
+    inv: Vec<f64>,
+}
+
+impl ScoreCache {
+    fn new(total_slots: u32, delta: u32) -> Self {
+        ScoreCache {
+            total_slots,
+            delta,
+            keys: FxHashMap::default(),
+        }
+    }
+
+    /// The cached values of `(sig, length)`, created on first use; `None`
+    /// once [`MAX_SCORED_KEYS`] other keys hold values.
+    fn key(&mut self, sig: &Signature, length: u32) -> Option<&mut KeyScores> {
+        let full = self.keys.len() >= MAX_SCORED_KEYS;
+        match self.keys.entry((*sig, length)) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(_) if full => None,
+            Entry::Vacant(e) => {
+                let unknown = vec![f64::NAN; self.total_slots as usize];
+                Some(e.insert(KeyScores {
+                    r: unknown.clone(),
+                    inv: unknown,
+                }))
+            }
+        }
+    }
+
+    /// Forgets every value that reads the slots `first..=last`, whose
+    /// group signatures just grew: their inverse distances, and `R_t` for
+    /// every `t` whose reuse window meets them.
+    fn invalidate(&mut self, (first, last): (u32, u32)) {
+        let delta = self.delta as i64;
+        let top = (last as i64 + delta).min(self.total_slots as i64 - 1) as usize;
+        for (&(_, length), key) in &mut self.keys {
+            key.inv[first as usize..=last as usize].fill(f64::NAN);
+            let from = (first as i64 - delta - length as i64 + 1).max(0) as usize;
+            if from <= top {
+                key.r[from..=top].fill(f64::NAN);
+            }
         }
     }
 }
@@ -719,6 +861,91 @@ mod tests {
     }
 
     #[test]
+    fn mixed_signature_widths_are_rejected() {
+        let trace = fixture_trace(2, 8);
+        let mut accesses = vec![
+            fixture_access(0, 0, &[1], 0, 4, 4, 1),
+            fixture_access(1, 1, &[2], 0, 4, 4, 1),
+        ];
+        accesses[1].signature = crate::Signature::new(sdds_storage::NodeSet::single(2), 16);
+        let err = SchedulerConfig::paper_defaults()
+            .schedule(&accesses, &trace)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::SignatureWidthMismatch {
+                index: 1,
+                width: 16,
+                expected: 8,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "access 1 has a signature over 16 I/O nodes, expected 8"
+        );
+    }
+
+    #[test]
+    fn access_index_past_the_list_is_rejected() {
+        let trace = fixture_trace(1, 8);
+        let accesses = vec![
+            fixture_access(0, 0, &[1], 0, 4, 4, 1),
+            fixture_access(2, 0, &[2], 0, 4, 4, 1),
+        ];
+        assert_eq!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::AccessIndexOutOfRange { index: 2, count: 2 })
+        );
+    }
+
+    #[test]
+    fn duplicate_access_index_is_rejected() {
+        let trace = fixture_trace(1, 8);
+        let accesses = vec![
+            fixture_access(1, 0, &[1], 0, 4, 4, 1),
+            fixture_access(1, 0, &[2], 0, 4, 4, 1),
+        ];
+        assert_eq!(
+            SchedulerConfig::paper_defaults().schedule(&accesses, &trace),
+            Err(CompileError::DuplicateAccessIndex { index: 1 })
+        );
+    }
+
+    #[test]
+    fn inverted_slack_is_rejected() {
+        let trace = fixture_trace(1, 8);
+        let mut access = fixture_access(0, 0, &[1], 5, 3, 3, 1);
+        access.movable = true;
+        let err = SchedulerConfig::paper_defaults()
+            .schedule(&[access], &trace)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::InvertedSlack {
+                index: 0,
+                begin: 5,
+                end: 3,
+            }
+        );
+        assert_eq!(err.to_string(), "access 0 has an inverted slack [5, 3]");
+    }
+
+    #[test]
+    fn oversized_lengths_clip_at_the_last_slot() {
+        // A fixed and a movable access whose spans would overflow `u32`.
+        let trace = fixture_trace(2, 8);
+        let accesses = vec![
+            fixture_access(0, 0, &[1], 6, 6, 6, u32::MAX),
+            fixture_access(1, 1, &[1], 2, 5, 5, u32::MAX),
+        ];
+        let table = SchedulerConfig::paper_defaults()
+            .schedule(&accesses, &trace)
+            .unwrap();
+        assert_eq!(table.point_of(0), 6);
+        assert_eq!(table.point_of(1), 2);
+    }
+
+    #[test]
     fn empty_access_list() {
         let mut p = Program::new("noio", 1);
         p.push_compute(simkit::SimDuration::from_millis(1));
@@ -728,5 +955,10 @@ mod tests {
             .unwrap();
         assert_eq!(table.scheduled_count(), 0);
         assert_eq!(table.mean_advance(), 0.0);
+        // A trace with no processes has no accesses either.
+        let table = SchedulerConfig::paper_defaults()
+            .schedule(&[], &fixture_trace(0, 4))
+            .unwrap();
+        assert_eq!(table.nprocs(), 0);
     }
 }
