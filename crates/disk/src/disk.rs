@@ -531,7 +531,7 @@ impl Disk {
         if t > self.now {
             let dur = t - self.now;
             self.energy
-                .accrue(self.state.label(), self.power.watts(&self.state), dur);
+                .accrue(&self.state, self.power.watts(&self.state), dur);
             self.now = t;
         }
     }
@@ -1062,7 +1062,7 @@ mod tests {
         let a = run(7);
         assert_eq!(a, run(7));
         assert_ne!(a, run(8), "different seeds should flip different coins");
-        assert!(a.iter().any(|o| *o == ServiceOutcome::TransientError));
+        assert!(a.contains(&ServiceOutcome::TransientError));
         assert!(a.iter().any(|o| o.is_ok()));
     }
 

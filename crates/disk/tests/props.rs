@@ -1,9 +1,13 @@
 //! Property tests for the disk model: conservation laws over arbitrary
 //! request streams and power-state command sequences.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use sdds_disk::{Disk, DiskParams, DiskRequest, RequestKind, Rpm, RpmChangePriority};
-use simkit::SimTime;
+use sdds_disk::{
+    Disk, DiskParams, DiskRequest, DiskState, EnergyAccount, RequestKind, Rpm, RpmChangePriority,
+};
+use simkit::{SimDuration, SimTime};
 
 /// An arbitrary workload step.
 #[derive(Debug, Clone)]
@@ -47,6 +51,122 @@ fn arb_step() -> impl Strategy<Value = Step> {
             }
         }),
     ]
+}
+
+/// One state of each kind the ledger keeps a bucket for.
+fn ledger_states() -> [DiskState; 7] {
+    let rpm = Rpm::new(12_000);
+    [
+        DiskState::Transferring { rpm },
+        DiskState::Standby,
+        DiskState::Idle { rpm },
+        DiskState::SpinningUp,
+        DiskState::ChangingSpeed {
+            from: rpm,
+            to: Rpm::new(3_600),
+        },
+        DiskState::Seeking { rpm },
+        DiskState::SpinningDown,
+    ]
+}
+
+/// Reference ledger: the string-keyed map the flat account replaced.
+#[derive(Debug, Default)]
+struct MapLedger(BTreeMap<&'static str, (f64, SimDuration)>);
+
+impl MapLedger {
+    fn accrue(&mut self, state: &DiskState, watts: f64, duration: SimDuration) {
+        if duration.is_zero() {
+            return;
+        }
+        let e = self
+            .0
+            .entry(state.label())
+            .or_insert((0.0, SimDuration::ZERO));
+        e.0 += watts * duration.as_secs_f64();
+        e.1 += duration;
+    }
+
+    fn merge(&mut self, other: &MapLedger) {
+        for (state, (joules, residency)) in &other.0 {
+            let e = self.0.entry(state).or_insert((0.0, SimDuration::ZERO));
+            e.0 += joules;
+            e.1 += *residency;
+        }
+    }
+
+    fn total_joules(&self) -> f64 {
+        self.0.values().map(|e| e.0).sum()
+    }
+}
+
+/// An accrual `(state index, watts, microseconds)`; a quarter are empty.
+fn arb_accrual() -> impl Strategy<Value = (usize, f64, u64)> {
+    (0usize..7, 0.0f64..45.0, 0u64..4, 1u64..5_000_000)
+        .prop_map(|(state, watts, empty, us)| (state, watts, if empty == 0 { 0 } else { us }))
+}
+
+/// Asserts the flat ledger equals the reference bit for bit.
+fn assert_same_ledger(acct: &EnergyAccount, reference: &MapLedger) {
+    let got: Vec<_> = acct
+        .iter()
+        .map(|(state, e)| (state, e.joules.to_bits(), e.residency))
+        .collect();
+    let want: Vec<_> = reference
+        .0
+        .iter()
+        .map(|(state, (joules, residency))| (*state, joules.to_bits(), *residency))
+        .collect();
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(
+        acct.total_joules().to_bits(),
+        reference.total_joules().to_bits()
+    );
+    for state in ledger_states() {
+        let (joules, residency) = reference
+            .0
+            .get(state.label())
+            .copied()
+            .unwrap_or((0.0, SimDuration::ZERO));
+        prop_assert_eq!(acct.joules(state.label()).to_bits(), joules.to_bits());
+        prop_assert_eq!(acct.residency(state.label()), residency);
+    }
+}
+
+proptest! {
+    /// The flat per-state ledger matches a sorted string-keyed map over
+    /// any accrue/merge sequence: same visited states in the same order,
+    /// same residencies, and bitwise-equal joules and totals.
+    #[test]
+    fn ledger_matches_map_reference(
+        steps in prop::collection::vec(
+            (arb_accrual(), prop::collection::vec(arb_accrual(), 0..6)),
+            1..40,
+        ),
+    ) {
+        let states = ledger_states();
+        let mut acct = EnergyAccount::new();
+        let mut reference = MapLedger::default();
+        for ((state, watts, us), merged) in steps {
+            let d = SimDuration::from_micros(us);
+            acct.accrue(&states[state], watts, d);
+            reference.accrue(&states[state], watts, d);
+            // Merge a freshly accrued account (empty when `merged` is).
+            let mut other = EnergyAccount::new();
+            let mut other_ref = MapLedger::default();
+            for (state, watts, us) in merged {
+                let d = SimDuration::from_micros(us);
+                other.accrue(&states[state], watts, d);
+                other_ref.accrue(&states[state], watts, d);
+            }
+            assert_same_ledger(&other, &other_ref);
+            acct.merge(&other);
+            reference.merge(&other_ref);
+            assert_same_ledger(&acct, &reference);
+        }
+        let total: SimDuration = reference.0.values().map(|e| e.1).sum();
+        prop_assert_eq!(acct.total_time(), total);
+    }
 }
 
 proptest! {

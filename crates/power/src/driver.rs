@@ -312,6 +312,31 @@ impl PoweredArray {
         self.refresh_cached_next();
     }
 
+    /// Advances a quiet array to `t` by accruing each member disk, and
+    /// returns `true`; returns `false`, touching nothing, when the array
+    /// needs the full [`PoweredArray::advance_to`].
+    ///
+    /// The array is quiet when nothing in its calendar is due by `t` and
+    /// its idle bookkeeping has nothing to signal (work is outstanding, or
+    /// this no-work period's `IdleStart` already went out). Then the full
+    /// path would pop nothing, fire no policy hook and leave the calendar
+    /// unchanged, so both paths cut every disk at the same instants and
+    /// the energy sums stay bit-for-bit identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is earlier than any disk's current time.
+    pub fn coast_to(&mut self, t: SimTime) -> bool {
+        let due = self.cached_next.is_some_and(|next| next <= t);
+        if due || (self.outstanding == 0 && !self.idle_signaled) {
+            return false;
+        }
+        for disk in &mut self.disks {
+            disk.advance_to(t);
+        }
+        true
+    }
+
     /// Submits a request to member disk `disk` at `t`, routing the arrival
     /// through the policy.
     ///
@@ -570,6 +595,28 @@ mod tests {
         node.finish(t(30_000_000));
         assert!(node.disks()[0].counters().spin_downs >= 1);
         assert!(node.disks()[1].counters().spin_downs >= 1);
+    }
+
+    #[test]
+    fn coasting_waits_for_idle_start_and_due_events() {
+        let mut node = PoweredArray::new(
+            DiskParams::paper_single_speed(),
+            2,
+            PolicyKind::simple_spin_down_default(),
+        )
+        .unwrap();
+        // The first no-work period has not been signaled to the policy.
+        assert!(!node.coast_to(t(1)));
+        node.advance_to(t(1));
+        let timer = node.next_event_time().expect("idle start arms the timeout");
+        assert!(node.coast_to(t(2)));
+        assert!(node.disks().iter().all(|d| d.now() == t(2)));
+        assert!(!node.coast_to(timer));
+        // A request far from the arm: its seek outlasts the next cut.
+        node.submit(0, req(3), t(3));
+        let done = node.next_event_time().expect("service is in flight");
+        assert!(node.coast_to(t(4)));
+        assert!(!node.coast_to(done));
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod system;
 pub use cache::{CacheConfig, CacheOutcome, StorageCache};
 pub use error::StorageError;
 pub use lru::LruCache;
-pub use node::{IoNode, NodeConfig};
+pub use node::{IoNode, NodeConfig, NodeOp};
 pub use node_set::NodeSet;
 pub use placement::{ObjectSpec, Placement, PlacementParams};
 pub use raid::{MemberRequest, RaidConfig, RaidLevel};

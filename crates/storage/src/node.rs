@@ -454,6 +454,19 @@ impl IoNode {
         self.collect_completions();
     }
 
+    /// Advances a quiet node to `t` (see [`PoweredArray::coast_to`]) and
+    /// returns `true`; returns `false`, touching nothing, when the node
+    /// must take the full [`IoNode::advance_to`]. A node with a fault plan
+    /// always takes the full path. A coasting node completes nothing, so
+    /// there is nothing to collect.
+    pub fn coast_to(&mut self, t: SimTime) -> bool {
+        if self.faults.is_some() || !self.array.coast_to(t) {
+            return false;
+        }
+        self.now = self.now.max(t);
+        true
+    }
+
     /// Ends the simulation at `t` for all member disks.
     pub fn finish(&mut self, t: SimTime) {
         if self.faults.is_some() {

@@ -122,7 +122,14 @@ impl NodeSet {
 
     /// Iterates over node indices in increasing order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..Self::MAX_NODES).filter(move |&n| self.contains(n))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let n = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                n
+            })
+        })
     }
 
     /// The raw bit pattern.

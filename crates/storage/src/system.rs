@@ -2,7 +2,7 @@
 
 use sdds_disk::EnergyAccount;
 use sdds_power::PolicyKind;
-use simkit::hash::{FxHashMap, FxHashSet};
+use simkit::hash::FxHashMap;
 use simkit::kernel::{Calendar, SlotId};
 use simkit::stats::{BucketHistogram, DurationHistogram};
 use simkit::SimTime;
@@ -134,9 +134,10 @@ pub struct StorageSystem {
     op_owner: FxHashMap<(usize, u64), AccessId>,
     completions: Vec<AccessCompletion>,
     /// Unified calendar with one slot per node, retargeted whenever a
-    /// node's schedule can change (submit / advance / finish). Its head
+    /// node's schedule can change (a submit, or a full advance). Its head
     /// is the array's next event time; arbitration order is irrelevant
-    /// here because [`StorageSystem::advance_to`] advances every node.
+    /// here because [`StorageSystem::advance_to`] cuts every node at the
+    /// same instant.
     cal: Calendar,
     node_slots: Vec<SlotId>,
     /// Mirror of the calendar head, so [`StorageSystem::next_event_time`]
@@ -239,12 +240,11 @@ impl StorageSystem {
             .split_range(access.file, access.offset, access.len);
         let mut outstanding = 0usize;
         let mut hit_latest = t;
-        // Deduplicate per (node, block): one node-level block op per block.
-        let mut seen: FxHashSet<(usize, u64)> = FxHashSet::default();
+        let mut touched = NodeSet::EMPTY;
+        // Each piece is a distinct stripe, hence a distinct (node, block):
+        // one node-level block op per piece.
         for (node_idx, local_block, _off, _len) in pieces {
-            if !seen.insert((node_idx, local_block)) {
-                continue;
-            }
+            touched.insert(node_idx);
             let key = (access.file, local_block);
             // The access id rides along so issue-anchored trace events can
             // parent-link member requests to this access's span.
@@ -270,19 +270,9 @@ impl StorageSystem {
         }
         // Surface anything the member disks completed while advancing to
         // the submission time, so no completion lingers into the past.
-        self.collect();
-        // Only the touched nodes advanced, so only their schedules can
-        // have changed; retargeting is a no-op for the rest.
-        let mut touched: Vec<usize> = seen.iter().map(|&(node_idx, _)| node_idx).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for node_idx in touched {
-            self.cal.retarget(
-                self.node_slots[node_idx],
-                self.nodes[node_idx].next_event_time(),
-            );
-        }
-        self.cached_next = self.cal.peek_time();
+        // Only the touched nodes advanced, so only they can hold
+        // completions or a changed schedule.
+        self.sync(touched);
         id
     }
 
@@ -293,15 +283,22 @@ impl StorageSystem {
 
     /// Advances every node to `t`, resolving access completions.
     ///
-    /// All nodes advance together (energy accrual is a float sum, so the
+    /// Every disk is cut at `t` (energy accrual is a float sum, so the
     /// slicing of advances must not depend on which node fires first);
-    /// the calendar only supplies the next instant to advance to.
+    /// the calendar only supplies the next instant to advance to. Quiet
+    /// nodes coast through the cut doing accrual only (see
+    /// [`IoNode::coast_to`]); only the nodes that took the full path can
+    /// have completions or a changed schedule, so only they are drained
+    /// and retargeted.
     pub fn advance_to(&mut self, t: SimTime) {
-        for node in &mut self.nodes {
-            node.advance_to(t);
+        let mut ran = NodeSet::EMPTY;
+        for (idx, node) in self.nodes.iter_mut().enumerate() {
+            if !node.coast_to(t) {
+                node.advance_to(t);
+                ran.insert(idx);
+            }
         }
-        self.collect();
-        self.retarget_all();
+        self.sync(ran);
     }
 
     /// Ends the simulation at `t`.
@@ -309,8 +306,7 @@ impl StorageSystem {
         for node in &mut self.nodes {
             node.finish(t);
         }
-        self.collect();
-        self.retarget_all();
+        self.sync(NodeSet::all(self.nodes.len()));
     }
 
     /// Removes and returns completed accesses.
@@ -375,7 +371,10 @@ impl StorageSystem {
         c
     }
 
-    fn collect(&mut self) {
+    /// Drains the completions of the nodes in `ran`, in index order, and
+    /// retargets their calendar slots. Nodes outside `ran` did not take
+    /// the full path since the last sync, so they hold neither.
+    fn sync(&mut self, ran: NodeSet) {
         // Destructure so the sink closure can borrow the access-tracking
         // state while each node drains into it without any intermediate
         // Vec.
@@ -384,9 +383,13 @@ impl StorageSystem {
             pending,
             op_owner,
             completions,
+            cal,
+            node_slots,
+            cached_next,
             ..
         } = self;
-        for (idx, node) in nodes.iter_mut().enumerate() {
+        for idx in ran.iter() {
+            let node = &mut nodes[idx];
             node.drain_completions_with(|op, time| {
                 let Some(access) = op_owner.remove(&(idx, op)) else {
                     debug_assert!(false, "unknown node op {op} on node {idx}");
@@ -406,17 +409,9 @@ impl StorageSystem {
                     completions.push(AccessCompletion { access, time: done });
                 }
             });
+            cal.retarget(node_slots[idx], node.next_event_time());
         }
-    }
-
-    fn retarget_all(&mut self) {
-        // Each node's next_event_time is a cached field, and retargeting
-        // an unchanged due time is a no-op, so this is one cheap
-        // O(nodes) pass.
-        for (node, slot) in self.nodes.iter().zip(&self.node_slots) {
-            self.cal.retarget(*slot, node.next_event_time());
-        }
-        self.cached_next = self.cal.peek_time();
+        *cached_next = cal.peek_time();
     }
 }
 
