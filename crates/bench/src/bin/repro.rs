@@ -34,8 +34,9 @@
 //!   --repeat N             timed runs per cell (default 3)
 //!   --out FILE             write the measurements as machine-readable JSON
 //!   --check FILE           compare against a baseline JSON written by --out
-//!   --tolerance F          allowed fractional events/sec regression against
-//!                          the baseline before exiting non-zero (default 0.30)
+//!   --tolerance F          allowed fractional regression of calibrated
+//!                          events/sec (and kernel ops/sec) against the
+//!                          baseline before exiting non-zero (default 0.30)
 //!
 //! telemetry options (`trace`, and `--trace-out` also with `perf`):
 //!   --policy NAME          power policy for the traced cell: default,
@@ -105,9 +106,14 @@
 //! timed, so the wall time measures the discrete-event engine rather than
 //! trace extraction or scheduling. Event counts are deterministic; only
 //! the seconds (and hence events/sec) vary between hosts. The report also
-//! includes a calendar-kernel microbenchmark (retarget/pop ops/sec); a
-//! `--check` baseline that carries a `"kernel"` entry gates it under the
-//! same tolerance, and older baselines without one skip that gate.
+//! includes a calendar-kernel microbenchmark (retarget/pop ops/sec) and a
+//! host calibration: a fixed compute loop that calls no program code.
+//! `--check` gates total events/sec and kernel ops/sec each divided by
+//! the calibration rate against the baseline's same ratios, so a faster
+//! or slower host moves both sides alike; the absolute numbers are still
+//! printed. A baseline without a `"calibration"` entry falls back to the
+//! absolute gate with a warning, and one without a `"kernel"` entry skips
+//! the kernel gate.
 //!
 //! scale options (only meaningful with the `scale` experiment):
 //!   --scales F,F,...       scene scale factors (default 1,10,100)
@@ -222,7 +228,7 @@ fn usage() -> String {
          perf options:\n\
          \x20 --repeat N          timed runs per cell (default 3)\n\
          \x20 --out FILE          write measurements as JSON\n\
-         \x20 --check FILE        compare events/sec against a baseline JSON\n\
+         \x20 --check FILE        compare calibrated events/sec against a baseline JSON\n\
          \x20 --tolerance F       allowed fractional regression (default 0.30)\n\n\
          faults options:\n\
          \x20 --scenario NAME     fault scenario: light or heavy (default light)\n\
@@ -410,6 +416,11 @@ fn run_perf(
         "{:<20} {kernel_op_count:>14} {kernel_seconds:>10.3} {kernel_ops:>14.0}",
         "kernel (calendar)"
     );
+    let (calib_op_count, calib_seconds, calib_ops) = calibration_loop();
+    println!(
+        "{:<20} {calib_op_count:>14} {calib_seconds:>10.3} {calib_ops:>14.0}",
+        "calibration (host)"
+    );
 
     if let Some(path) = out {
         let mut json = String::new();
@@ -432,6 +443,9 @@ fn run_perf(
         json.push_str("\n  ],\n");
         json.push_str(&format!(
             "  \"kernel\": {{\"ops\": {kernel_op_count}, \"seconds\": {kernel_seconds:.6}, \"ops_per_sec\": {kernel_ops:.1}}},\n"
+        ));
+        json.push_str(&format!(
+            "  \"calibration\": {{\"ops\": {calib_op_count}, \"seconds\": {calib_seconds:.6}, \"ops_per_sec\": {calib_ops:.1}}},\n"
         ));
         json.push_str(&format!(
             "  \"total\": {{\"events\": {total_events}, \"seconds\": {total_seconds:.6}, \"events_per_sec\": {total_eps:.1}}}\n"
@@ -466,34 +480,68 @@ fn run_perf(
             eprintln!("repro: no total events_per_sec found in {}", path.display());
             return Ok(false);
         };
+        // Throughputs are gated in units of the host calibration rate, so
+        // a baseline from a faster or slower host still compares like
+        // with like.
+        let scale = match baseline_calibration_ops(&text) {
+            Some(baseline_calib) => {
+                println!(
+                    "calibration baseline {baseline_calib:.0} ops/s, now {calib_ops:.0} \
+                     ({:+.1}%); throughputs are gated per calibration op",
+                    (calib_ops / baseline_calib - 1.0) * 100.0,
+                );
+                Some((baseline_calib, calib_ops))
+            }
+            None => {
+                eprintln!(
+                    "repro: WARNING: baseline {} has no \"calibration\" entry — events/sec \
+                     and kernel ops/sec are gated in absolute terms, which a change of host \
+                     alone can fail or pass.\n\
+                     repro: WARNING: refresh it with `repro perf --out {}` and commit the result.",
+                    path.display(),
+                    path.display()
+                );
+                None
+            }
+        };
+        // A throughput's change against its baseline, in the gated unit.
+        let change = |baseline: f64, now: f64| match scale {
+            Some((baseline_calib, calib)) => (now / calib) / (baseline / baseline_calib),
+            None => now / baseline,
+        };
+        let unit = if scale.is_some() {
+            "per calibration op"
+        } else {
+            "absolute"
+        };
         // Every gated metric by name, so a failure pinpoints *what*
         // regressed and by exactly how much. Per-cell entries are gated
         // only through the total (cells are noisy at small scales) but are
         // still named in the failure report when they breach the floor.
         let mut regressions: Vec<String> = Vec::new();
-        let floor = baseline_eps * (1.0 - tolerance);
-        let ratio = total_eps / baseline_eps;
+        let ratio = change(baseline_eps, total_eps);
         println!(
-            "baseline {baseline_eps:.0} events/s, now {total_eps:.0} ({:+.1}%), \
-             floor at -{:.0}% is {floor:.0}",
+            "baseline {baseline_eps:.0} events/s, now {total_eps:.0}: {:+.1}% {unit}, \
+             floor at -{:.0}%",
             (ratio - 1.0) * 100.0,
             tolerance * 100.0,
         );
-        if total_eps < floor {
+        if ratio < 1.0 - tolerance {
             regressions.push(format!(
-                "total events/sec regressed {:.1}% (baseline {baseline_eps:.0}, \
+                "total events/sec regressed {:.1}% {unit} (baseline {baseline_eps:.0}, \
                  now {total_eps:.0}, tolerance {:.0}%)",
                 (1.0 - ratio) * 100.0,
                 tolerance * 100.0
             ));
             for c in &cells {
                 if let Some(base_eps) = baseline_cell_eps(&text, &c.name) {
-                    if c.events_per_sec < base_eps * (1.0 - tolerance) {
+                    let cratio = change(base_eps, c.events_per_sec);
+                    if cratio < 1.0 - tolerance {
                         regressions.push(format!(
-                            "cell `{}` events/sec regressed {:.1}% (baseline {base_eps:.0}, \
-                             now {:.0})",
+                            "cell `{}` events/sec regressed {:.1}% {unit} (baseline \
+                             {base_eps:.0}, now {:.0})",
                             c.name,
-                            (1.0 - c.events_per_sec / base_eps) * 100.0,
+                            (1.0 - cratio) * 100.0,
                             c.events_per_sec
                         ));
                     }
@@ -502,18 +550,18 @@ fn run_perf(
         }
         match baseline_kernel_ops(&text) {
             Some(baseline_ops) => {
-                let kfloor = baseline_ops * (1.0 - tolerance);
+                let kratio = change(baseline_ops, kernel_ops);
                 println!(
-                    "kernel baseline {baseline_ops:.0} ops/s, now {kernel_ops:.0} ({:+.1}%), \
-                     floor at -{:.0}% is {kfloor:.0}",
-                    (kernel_ops / baseline_ops - 1.0) * 100.0,
+                    "kernel baseline {baseline_ops:.0} ops/s, now {kernel_ops:.0}: {:+.1}% \
+                     {unit}, floor at -{:.0}%",
+                    (kratio - 1.0) * 100.0,
                     tolerance * 100.0,
                 );
-                if kernel_ops < kfloor {
+                if kratio < 1.0 - tolerance {
                     regressions.push(format!(
-                        "kernel (calendar) ops/sec regressed {:.1}% (baseline \
+                        "kernel (calendar) ops/sec regressed {:.1}% {unit} (baseline \
                          {baseline_ops:.0}, now {kernel_ops:.0}, tolerance {:.0}%)",
-                        (1.0 - kernel_ops / baseline_ops) * 100.0,
+                        (1.0 - kratio) * 100.0,
                         tolerance * 100.0
                     ));
                 }
@@ -581,6 +629,29 @@ fn kernel_microbench() -> (u64, f64, f64) {
     let seconds = started.elapsed().as_secs_f64();
     std::hint::black_box(sink);
     (ops, seconds, ops as f64 / seconds.max(1e-9))
+}
+
+/// Times a fixed compute loop that calls no program code: a serial
+/// xorshift chain, so neither the optimizer nor the host's vector units
+/// can shortcut it. Its rate is the host's speed unit for the perf gate.
+/// Best of five passes, which keeps one descheduled pass out of it.
+fn calibration_loop() -> (u64, f64, f64) {
+    const OPS: u64 = 20_000_000;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let started = Instant::now();
+        let mut x: u64 = std::hint::black_box(0x9E37_79B9_7F4A_7C15);
+        let mut acc: u64 = 0;
+        for i in 0..std::hint::black_box(OPS) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            acc = acc.wrapping_add(x ^ i);
+        }
+        std::hint::black_box(acc);
+        best = best.min(started.elapsed().as_secs_f64());
+    }
+    (OPS, best, OPS as f64 / best.max(1e-9))
 }
 
 /// One measured (scale, jobs) point of the `scale` experiment.
@@ -857,6 +928,12 @@ fn baseline_total_eps(text: &str) -> Option<f64> {
 /// document; `None` for baselines that predate the kernel benchmark.
 fn baseline_kernel_ops(text: &str) -> Option<f64> {
     scan_line_number(text, "\"kernel\"", "\"ops_per_sec\":")
+}
+
+/// Extracts the host calibration rate from a `--out` JSON document;
+/// `None` for baselines that predate the calibration loop.
+fn baseline_calibration_ops(text: &str) -> Option<f64> {
+    scan_line_number(text, "\"calibration\"", "\"ops_per_sec\":")
 }
 
 /// Extracts one named cell's `events_per_sec` from a `--out` JSON

@@ -10,8 +10,8 @@
 //! SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity
 //! ```
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+mod common;
+
 use std::path::PathBuf;
 
 use sdds::{run, SystemConfig};
@@ -24,18 +24,6 @@ fn fixture_path() -> PathBuf {
         .join("golden_parity.txt")
 }
 
-/// FNV-1a over the per-process finish times, pinning each one.
-fn finish_hash(finishes: &[simkit::SimDuration]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in finishes {
-        for b in f.as_micros().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
-}
-
 /// One matrix cell rendered as `key=value` tokens, one line per cell.
 fn cell_line(app: App, policy: &PolicyKind, scheme: bool) -> String {
     let cfg = SystemConfig {
@@ -46,40 +34,13 @@ fn cell_line(app: App, policy: &PolicyKind, scheme: bool) -> String {
     .with_scheme(scheme);
     let o =
         run(app, &cfg).unwrap_or_else(|e| panic!("{} under {}: {e}", app.name(), policy.name()));
-    let r = &o.result;
-    let b = &r.buffer;
-    let p = &r.prefetch;
-    let mut line = String::new();
-    write!(
-        line,
-        "app={} policy={} scheme={} exec_us={} energy_bits={:016x} bytes_r={} bytes_w={} \
-         mrr_bits={:016x} events={} finish_hash={:016x} issued={} deferred_producer={} \
-         deferred_full={} became_sync={} timed_out={} admitted={} rejected_full={} hits={} \
-         hits_in_flight={} misses={} idle_periods={}",
+    format!(
+        "app={} policy={} scheme={} {}",
         app.name(),
         policy.name(),
         u8::from(scheme),
-        r.exec_time.as_micros(),
-        r.energy_joules.to_bits(),
-        r.bytes_moved.0,
-        r.bytes_moved.1,
-        r.mean_read_response.to_bits(),
-        r.events,
-        finish_hash(&r.per_proc_finish),
-        p.issued,
-        p.deferred_producer,
-        p.deferred_full,
-        p.became_sync,
-        p.timed_out,
-        b.admitted,
-        b.rejected_full,
-        b.hits,
-        b.hits_in_flight,
-        b.misses,
-        r.idle_histogram.total(),
+        common::result_tokens(&o.result)
     )
-    .expect("writing to a String cannot fail");
-    line
 }
 
 fn current_matrix() -> Vec<String> {
@@ -94,65 +55,13 @@ fn current_matrix() -> Vec<String> {
     lines
 }
 
-/// Parses one fixture line into its key=value map (keyed by cell id).
-fn parse_line(line: &str) -> (String, BTreeMap<String, String>) {
-    let mut map = BTreeMap::new();
-    for token in line.split_whitespace() {
-        let (k, v) = token
-            .split_once('=')
-            .unwrap_or_else(|| panic!("malformed fixture token {token:?}"));
-        map.insert(k.to_string(), v.to_string());
-    }
-    let id = format!("{}/{}/{}", map["app"], map["policy"], map["scheme"]);
-    (id, map)
-}
-
 #[test]
 fn matrix_matches_committed_fixture() {
-    let path = fixture_path();
-    let lines = current_matrix();
-    if std::env::var_os("SDDS_REGEN_GOLDEN").is_some() {
-        let mut out = String::from(
-            "# Golden parity fixture: app x policy x scheme at test scale.\n\
-             # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
-        );
-        for l in &lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        std::fs::write(&path, out).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let fixture = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    let expected: BTreeMap<_, _> = fixture
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .map(parse_line)
-        .collect();
-    let actual: BTreeMap<_, _> = lines.iter().map(|l| parse_line(l)).collect();
-    assert_eq!(
-        expected.keys().collect::<Vec<_>>(),
-        actual.keys().collect::<Vec<_>>(),
-        "cell set changed; regenerate the fixture deliberately if intended"
-    );
-    let mut diffs = Vec::new();
-    for (id, exp) in &expected {
-        let act = &actual[id];
-        for (k, v) in exp {
-            if act.get(k) != Some(v) {
-                diffs.push(format!(
-                    "{id}: {k} expected {v} got {}",
-                    act.get(k).map_or("<missing>", |s| s.as_str())
-                ));
-            }
-        }
-    }
-    assert!(
-        diffs.is_empty(),
-        "golden parity violated in {} place(s):\n{}",
-        diffs.len(),
-        diffs.join("\n")
+    common::check_fixture(
+        &fixture_path(),
+        "# Golden parity fixture: app x policy x scheme at test scale.\n\
+         # Regenerate with SDDS_REGEN_GOLDEN=1 cargo test -p sdds --test golden_parity\n",
+        &current_matrix(),
+        &["app", "policy", "scheme"],
     );
 }

@@ -124,7 +124,7 @@ impl GlobalBuffer {
     }
 
     /// Marks an in-flight range as ready. Returns `false` if the range is
-    /// not tracked (e.g. it was cancelled).
+    /// not tracked.
     pub fn fill(&mut self, key: &RangeKey) -> bool {
         match self.entries.get_mut(key) {
             Some(state) => {
@@ -169,14 +169,6 @@ impl GlobalBuffer {
                 true
             }
             _ => false,
-        }
-    }
-
-    /// Drops an in-flight reservation (fetch abandoned).
-    pub fn cancel(&mut self, key: &RangeKey) {
-        if let Some(EntryState::InFlight) = self.entries.get(key) {
-            self.entries.remove(key);
-            self.used -= key.2;
         }
     }
 }
@@ -238,18 +230,6 @@ mod tests {
         b.fill(&k);
         assert!(b.consume(&k));
         assert!(!b.consume(&k)); // already gone
-    }
-
-    #[test]
-    fn cancel_frees_reservation_but_not_ready_data() {
-        let mut b = GlobalBuffer::new(500);
-        b.reserve(key(0, 500));
-        b.cancel(&key(0, 500));
-        assert_eq!(b.used(), 0);
-        assert!(b.reserve(key(1, 500)));
-        b.fill(&key(1, 500));
-        b.cancel(&key(1, 500)); // ready data is not cancelled
-        assert!(b.consume(&key(1, 500)));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! submission event queue, so every disk sees its requests in global
 //! timestamp order even though client local clocks drift apart.
 
+use std::collections::hash_map::Entry;
+
 use sdds_compiler::ir::IoDirection;
 use sdds_compiler::{SchedulableAccess, ScheduleTable};
 use sdds_storage::{AccessCompletion, AccessId, FileAccess, StorageConfig, StorageSystem};
@@ -176,11 +178,41 @@ struct ProcExec {
     /// Prefetches awaiting producer progress or buffer space
     /// (access indices).
     deferred: Vec<usize>,
+    /// What the last scheduler walk learned about the front of
+    /// `deferred`.
+    settled: Settled,
     phase: Phase,
     state: State,
     /// Last fully completed slot (for producer local-time checks).
     completed_slot: Option<u32>,
     finish: Option<SimTime>,
+}
+
+/// The leading `deferred` entries that a scheduler walk kept only because
+/// the buffer had no room for them. While the slot stays below
+/// `min_slot`, the buffer has no room for `min_len` bytes and no shared
+/// range has been reserved since the walk, the next walk would keep
+/// every one of them again, so it skips them unexamined.
+#[derive(Debug, Clone, Copy)]
+struct Settled {
+    /// How many leading entries were kept for room; 0 when the walk kept
+    /// any entry for its producer.
+    count: usize,
+    /// Smallest original slot among them.
+    min_slot: u32,
+    /// Smallest length among them.
+    min_len: u64,
+    /// [`Engine::shared_reserves`] when the walk ended.
+    shared_reserves: u64,
+}
+
+impl Settled {
+    const NONE: Settled = Settled {
+        count: 0,
+        min_slot: u32::MAX,
+        min_len: u64::MAX,
+        shared_reserves: 0,
+    };
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,6 +246,14 @@ pub struct Engine {
     /// In-flight prefetch per buffered range: `(ticket, issued_at)`.
     prefetch_tickets: FxHashMap<RangeKey, (u64, SimTime)>,
     prefetch_stats: PrefetchStats,
+    /// Per plan access: whether another plan read covers the same
+    /// `(file, offset, len)`, so that a reserve for one can put the
+    /// other's range into the buffer.
+    shared: Vec<bool>,
+    /// Reserves of shared ranges so far. A range enters the buffer only
+    /// through a reserve, so while this count stands still no unshared
+    /// deferred prefetch can find its range buffered.
+    shared_reserves: u64,
     read_response: simkit::stats::OnlineStats,
     /// The unified event calendar: one slot per event source (pending
     /// submissions, the storage array, prefetch timeouts, and one slot
@@ -268,6 +308,8 @@ impl Engine {
             access_to_ticket: FxHashMap::default(),
             prefetch_tickets: FxHashMap::default(),
             prefetch_stats: PrefetchStats::default(),
+            shared: Vec::new(),
+            shared_reserves: 0,
             read_response: simkit::stats::OnlineStats::new(),
             cal,
             submission_slot,
@@ -325,6 +367,7 @@ impl Engine {
                     trace: plan.accesses.len(),
                 });
             }
+            self.shared = shared_reads(plan.accesses);
         }
 
         let mut procs: Vec<ProcExec> = trace
@@ -337,6 +380,7 @@ impl Engine {
                 io_cursor: 0,
                 table_cursor: 0,
                 deferred: Vec::new(),
+                settled: Settled::NONE,
                 phase: Phase::SlotStart,
                 state: State::Ready,
                 completed_slot: None,
@@ -724,9 +768,33 @@ impl Engine {
         }
         // Walk the combined list, compacting in place: entries that must
         // keep waiting slide to the front, everything else is consumed.
+        // The previous walk's settled prefix is skipped whole when none of
+        // its entries can have changed outcome; that can only start to
+        // hold at the walk's start or once a prefetch has taken room.
+        let settled = procs[p].settled;
+        let mut next = Settled::NONE;
+        let mut gated = false;
+        let mut try_jump = true;
         let mut cursor = 0;
         let mut kept = 0;
         while cursor < procs[p].deferred.len() {
+            if std::mem::take(&mut try_jump)
+                && cursor < settled.count
+                && slot < settled.min_slot
+                && !self.buffer.has_room(settled.min_len)
+                && self.shared_reserves == settled.shared_reserves
+            {
+                #[cfg(debug_assertions)]
+                self.assert_kept_for_room(procs, p, cursor..settled.count, accesses);
+                procs[p].deferred.copy_within(cursor..settled.count, kept);
+                let skipped = settled.count - cursor;
+                self.prefetch_stats.deferred_full += skipped as u64;
+                kept += skipped;
+                cursor = settled.count;
+                next.min_slot = next.min_slot.min(settled.min_slot);
+                next.min_len = next.min_len.min(settled.min_len);
+                continue;
+            }
             let idx = procs[p].deferred[cursor];
             cursor += 1;
             let a = &accesses[idx];
@@ -749,14 +817,12 @@ impl Engine {
             // Correctness rule: data written by a remote process may only
             // be fetched once the producer's local time has passed the
             // producing write (§III).
-            if let Some((q, w)) = a.producer {
-                let produced = procs[q].completed_slot.is_some_and(|c| c >= w);
-                if !produced {
-                    self.prefetch_stats.deferred_producer += 1;
-                    procs[p].deferred[kept] = idx;
-                    kept += 1;
-                    continue;
-                }
+            if !producer_done(procs, a) {
+                self.prefetch_stats.deferred_producer += 1;
+                gated = true;
+                procs[p].deferred[kept] = idx;
+                kept += 1;
+                continue;
             }
             let key: RangeKey = (a.io.file, a.io.offset, a.io.len);
             if self.buffer.contains(&key) {
@@ -766,10 +832,15 @@ impl Engine {
                 self.prefetch_stats.deferred_full += 1;
                 procs[p].deferred[kept] = idx;
                 kept += 1;
+                next.min_slot = next.min_slot.min(a.io.slot);
+                next.min_len = next.min_len.min(a.io.len);
                 continue;
             }
             let admitted = self.buffer.reserve(key);
             debug_assert!(admitted, "room was checked above");
+            if self.shared[idx] {
+                self.shared_reserves += 1;
+            }
             let ticket = self.enqueue(
                 FileAccess::read(a.io.file, a.io.offset, a.io.len),
                 now + self.config.network_latency,
@@ -789,8 +860,50 @@ impl Engine {
                     len: a.io.len,
                 });
             }
+            try_jump = true;
         }
         procs[p].deferred.truncate(kept);
+        // Every kept entry waits for room unless one waits for its
+        // producer; only then is the whole kept list a settled prefix.
+        procs[p].settled = if gated {
+            Settled::NONE
+        } else {
+            Settled {
+                count: kept,
+                shared_reserves: self.shared_reserves,
+                ..next
+            }
+        };
+    }
+
+    /// Checks that the old walk would keep every deferred entry of `p` in
+    /// `range` for want of buffer room: its original point is still
+    /// ahead, its producer (if any) is done, its range is not buffered
+    /// and it does not fit.
+    #[cfg(debug_assertions)]
+    fn assert_kept_for_room(
+        &self,
+        procs: &[ProcExec],
+        p: usize,
+        range: std::ops::Range<usize>,
+        accesses: &[SchedulableAccess],
+    ) {
+        for &idx in &procs[p].deferred[range] {
+            let a = &accesses[idx];
+            assert!(
+                a.io.slot > procs[p].slot,
+                "settled access {idx} became sync"
+            );
+            assert!(
+                producer_done(procs, a),
+                "settled access {idx} is producer-gated"
+            );
+            assert!(
+                !self.buffer.contains(&(a.io.file, a.io.offset, a.io.len)),
+                "settled access {idx} is already buffered"
+            );
+            assert!(!self.buffer.has_room(a.io.len), "settled access {idx} fits");
+        }
     }
 
     /// Performs the application's original-point I/O operation `cursor` of
@@ -907,6 +1020,32 @@ impl Engine {
         }
         Ok(())
     }
+}
+
+/// Whether `a`'s producing write (if any) is done: the producer has
+/// completed the producing slot.
+fn producer_done(procs: &[ProcExec], a: &SchedulableAccess) -> bool {
+    a.producer
+        .is_none_or(|(q, w)| procs[q].completed_slot.is_some_and(|c| c >= w))
+}
+
+/// Marks each plan read whose `(file, offset, len)` another plan read
+/// covers too, indexed like the plan's access list.
+fn shared_reads(accesses: &[SchedulableAccess]) -> Vec<bool> {
+    let mut first: FxHashMap<RangeKey, usize> = FxHashMap::default();
+    let mut shared = vec![false; accesses.len()];
+    for (i, a) in accesses.iter().enumerate().filter(|(_, a)| a.is_read()) {
+        match first.entry((a.io.file, a.io.offset, a.io.len)) {
+            Entry::Occupied(e) => {
+                shared[*e.get()] = true;
+                shared[i] = true;
+            }
+            Entry::Vacant(e) => {
+                e.insert(i);
+            }
+        }
+    }
+    shared
 }
 
 #[cfg(test)]
