@@ -117,23 +117,22 @@
 //!
 //! scale options (only meaningful with the `scale` experiment):
 //!   --scales F,F,...       scene scale factors (default 1,10,100)
-//!   --jobs-list N,N,...    worker counts per scale point (default 1,2,4,8)
 //!   --shards auto|N        shard policy for the sharded points (default auto)
 //!   --epoch-us N           epoch window in µs (default: the scene's hop latency)
 //!   --repeat N             timed runs per point, best-of (default 3)
 //!   --no-baseline          skip the single-shard baseline (and speedups)
-//!   --out FILE             write the report as JSON (schema `sdds-scale-v1`)
-//!   --digest FILE          write one jobs-invariant digest line per scale
+//!   --out FILE             write the report as JSON (schema `sdds-scale-v2`)
+//!   --digest FILE          write one digest line per scale
 //!                          (schema `sdds-scale-digest-v1`) for byte comparison
-//!   --check-speedup X      exit non-zero unless the largest scale's best point
+//!   --check-speedup X      exit non-zero unless the largest scale's sharded point
 //!                          reaches X× the single-shard baseline
 //!
 //! `scale` runs the datacenter scene (clients behind congestion-limited
 //! shared links in front of burst-buffered I/O groups, under a periodic
-//! global I/O schedule) on the sharded time-domain kernel and reports
-//! aggregate events/sec per (scale, jobs) point. Simulation metrics are
-//! bitwise identical across every `--jobs-list` entry — the command
-//! verifies this itself and exits 1 on any divergence.
+//! global I/O schedule) on the sharded time-domain kernel, one thread,
+//! and reports aggregate events/sec per scale point. Simulation metrics
+//! are bitwise identical across the `--repeat` runs of a point — the
+//! command verifies this itself and exits 1 on any divergence.
 //!
 //! online options (only meaningful with the `online` experiment):
 //!   --scenes a,b           keyed scenes: zipfian, diurnal (default: both)
@@ -241,12 +240,11 @@ fn usage() -> String {
          \x20 --out FILE          write the report as JSON (sdds-attrib-v1)\n\n\
          scale options:\n\
          \x20 --scales F,F,...    scene scale factors (default 1,10,100)\n\
-         \x20 --jobs-list N,...   worker counts per point (default 1,2,4,8)\n\
          \x20 --shards auto|N     shard policy (default auto)\n\
          \x20 --epoch-us N        epoch window in us (default: hop latency)\n\
          \x20 --no-baseline       skip the single-shard baseline\n\
-         \x20 --out FILE          write the report as JSON (sdds-scale-v1)\n\
-         \x20 --digest FILE       write jobs-invariant digest lines per scale\n\
+         \x20 --out FILE          write the report as JSON (sdds-scale-v2)\n\
+         \x20 --digest FILE       write one digest line per scale\n\
          \x20 --check-speedup X   require X x single-shard at the largest scale\n\n\
          rebuild options:\n\
          \x20 --scenario NAME     fault scenario: light or heavy (default light)\n\
@@ -654,10 +652,9 @@ fn calibration_loop() -> (u64, f64, f64) {
     (OPS, best, OPS as f64 / best.max(1e-9))
 }
 
-/// One measured (scale, jobs) point of the `scale` experiment.
+/// One measured scale point of the `scale` experiment.
 struct ScalePoint {
     scale: f64,
-    jobs: usize,
     shards: usize,
     components: usize,
     events: u64,
@@ -668,50 +665,44 @@ struct ScalePoint {
 }
 
 /// Times `repeat` runs of one scale-scene configuration and returns the
-/// run's (jobs-invariant) result together with the best wall-clock time.
+/// run's result together with the best wall-clock time, or `None` (after
+/// printing both digests) if a repeat's digest differs from the first.
 fn time_scale_point(
     cfg: &sdds::ScaleSceneConfig,
-    jobs: usize,
     repeat: usize,
-) -> Result<(sdds_runtime::SceneResult, f64), SddsError> {
+) -> Result<Option<(sdds_runtime::SceneResult, f64)>, SddsError> {
     let mut best = f64::INFINITY;
-    let mut result = None;
+    let mut result: Option<sdds_runtime::SceneResult> = None;
     for _ in 0..repeat {
         let started = Instant::now();
-        let r = sdds::run_scale(cfg, jobs)?;
-        let secs = started.elapsed().as_secs_f64();
-        if secs < best {
-            best = secs;
-        }
-        if let Some(prev) = &result {
-            let prev: &sdds_runtime::SceneResult = prev;
-            assert_eq!(
-                prev.digest(),
-                r.digest(),
-                "nondeterministic scale-{} scene across repeats",
-                cfg.factor
-            );
-        } else {
-            result = Some(r);
+        let r = sdds::run_scale(cfg)?;
+        best = best.min(started.elapsed().as_secs_f64());
+        match &result {
+            Some(first) if first.digest() != r.digest() => {
+                eprintln!(
+                    "repro: scale {} digest DIVERGED across repeats:\n  want {}\n  got  {}",
+                    cfg.factor,
+                    first.digest(),
+                    r.digest()
+                );
+                return Ok(None);
+            }
+            Some(_) => {}
+            None => result = Some(r),
         }
     }
-    let Some(r) = result else {
-        // Unreachable: `repeat` is validated to be at least 1.
-        return Err(SddsError::Config(sdds::ConfigError::ZeroProcs));
-    };
-    Ok((r, best))
+    Ok(result.map(|r| (r, best)))
 }
 
-/// Runs the sharded datacenter scene across `--scales` × `--jobs-list`
-/// and reports aggregate events/sec per point, plus (unless
-/// `--no-baseline`) the speedup over a single-sharded run of the same
-/// scene. Digests are checked for bitwise equality across worker counts;
-/// any divergence returns `Ok(false)`, as do output-file failures and a
+/// Runs the sharded datacenter scene at each of `--scales` and reports
+/// aggregate events/sec per point, plus (unless `--no-baseline`) the
+/// speedup over a single-sharded run of the same scene. Each point's
+/// digest must be bitwise identical across its `--repeat` runs; a
+/// divergence returns `Ok(false)`, as do output-file failures and a
 /// missed `--check-speedup` gate.
 #[allow(clippy::too_many_arguments)]
 fn run_scale_cmd(
     scales: &[f64],
-    jobs_list: &[usize],
     shards: sdds_runtime::ShardPolicy,
     epoch_us: Option<u64>,
     repeat: usize,
@@ -732,22 +723,13 @@ fn run_scale_cmd(
         }
     );
     println!(
-        "{:<8} {:>5} {:>7} {:>11} {:>10} {:>8} {:>9} {:>13} {:>9}",
-        "scale",
-        "jobs",
-        "shards",
-        "components",
-        "events",
-        "epochs",
-        "seconds",
-        "events/sec",
-        "speedup"
+        "{:<8} {:>7} {:>11} {:>10} {:>8} {:>9} {:>13} {:>9}",
+        "scale", "shards", "components", "events", "epochs", "seconds", "events/sec", "speedup"
     );
 
     let mut points: Vec<ScalePoint> = Vec::new();
     let mut baselines: Vec<ScalePoint> = Vec::new();
-    let mut digests: Vec<(f64, String)> = Vec::new();
-    let mut ok = true;
+    let mut digests: Vec<String> = Vec::new();
 
     for &scale in scales {
         let cfg = sdds::ScaleSceneConfig {
@@ -760,15 +742,16 @@ fn run_scale_cmd(
                 shards: ShardPolicy::Fixed(1),
                 ..cfg
             };
-            let (r, secs) = time_scale_point(&bcfg, 1, repeat)?;
+            let Some((r, secs)) = time_scale_point(&bcfg, repeat)? else {
+                return Ok(false);
+            };
             let eps = r.events as f64 / secs.max(1e-9);
             println!(
-                "{scale:<8.2} {:>5} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
-                1, 1, r.components, r.events, r.epochs, "1.00x"
+                "{scale:<8.2} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
+                1, r.components, r.events, r.epochs, "1.00x"
             );
             baselines.push(ScalePoint {
                 scale,
-                jobs: 1,
                 shards: 1,
                 components: r.components,
                 events: r.events,
@@ -782,54 +765,38 @@ fn run_scale_cmd(
             None
         };
 
-        let mut scale_digest: Option<String> = None;
-        for &jobs in jobs_list {
-            let (r, secs) = time_scale_point(&cfg, jobs, repeat)?;
-            let digest = r.digest();
-            match &scale_digest {
-                Some(reference) if *reference != digest => {
-                    eprintln!(
-                        "repro: scale {scale} digest DIVERGED at jobs={jobs}:\n  want {reference}\n  got  {digest}"
-                    );
-                    ok = false;
-                }
-                Some(_) => {}
-                None => scale_digest = Some(digest),
-            }
-            let eps = r.events as f64 / secs.max(1e-9);
-            let speedup = base_eps.map(|b| eps / b.max(1e-9));
-            println!(
-                "{scale:<8.2} {jobs:>5} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
-                r.shards,
-                r.components,
-                r.events,
-                r.epochs,
-                speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:.2}x")),
-            );
-            points.push(ScalePoint {
-                scale,
-                jobs,
-                shards: r.shards,
-                components: r.components,
-                events: r.events,
-                epochs: r.epochs,
-                seconds: secs,
-                events_per_sec: eps,
-                speedup,
-            });
-        }
-        if let Some(d) = scale_digest {
-            digests.push((scale, d));
-        }
+        let Some((r, secs)) = time_scale_point(&cfg, repeat)? else {
+            return Ok(false);
+        };
+        let eps = r.events as f64 / secs.max(1e-9);
+        let speedup = base_eps.map(|b| eps / b.max(1e-9));
+        println!(
+            "{scale:<8.2} {:>7} {:>11} {:>10} {:>8} {secs:>9.3} {eps:>13.0} {:>9}",
+            r.shards,
+            r.components,
+            r.events,
+            r.epochs,
+            speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:.2}x")),
+        );
+        digests.push(r.digest());
+        points.push(ScalePoint {
+            scale,
+            shards: r.shards,
+            components: r.components,
+            events: r.events,
+            epochs: r.epochs,
+            seconds: secs,
+            events_per_sec: eps,
+            speedup,
+        });
     }
 
     if let Some(path) = out {
         let point_json = |p: &ScalePoint| {
             format!(
-                "    {{\"scale\": {:.3}, \"jobs\": {}, \"shards\": {}, \"components\": {}, \
+                "    {{\"scale\": {:.3}, \"shards\": {}, \"components\": {}, \
                  \"events\": {}, \"epochs\": {}, \"seconds\": {:.6}, \"events_per_sec\": {:.1}{}}}",
                 p.scale,
-                p.jobs,
                 p.shards,
                 p.components,
                 p.events,
@@ -843,7 +810,7 @@ fn run_scale_cmd(
         };
         let mut json = String::new();
         json.push_str("{\n");
-        json.push_str("  \"schema\": \"sdds-scale-v1\",\n");
+        json.push_str("  \"schema\": \"sdds-scale-v2\",\n");
         json.push_str(&format!("  \"repeat\": {repeat},\n"));
         json.push_str(&format!(
             "  \"epoch_us\": {},\n",
@@ -873,7 +840,7 @@ fn run_scale_cmd(
 
     if let Some(path) = digest_out {
         let mut text = String::new();
-        for (_, d) in &digests {
+        for d in &digests {
             text.push_str(d);
             text.push('\n');
         }
@@ -910,10 +877,7 @@ fn run_scale_cmd(
         }
     }
 
-    if !ok {
-        eprintln!("repro: scale digests diverged across worker counts (determinism bug)");
-    }
-    Ok(ok)
+    Ok(true)
 }
 
 /// Extracts the total `events_per_sec` from a `--out` JSON document: the
@@ -1377,7 +1341,7 @@ fn run_attrib(
         shards,
         epoch: None,
     };
-    let (scene, obs) = sdds::run_scale_observed(&scene_cfg, 2)?;
+    let (scene, obs) = sdds::run_scale_observed(&scene_cfg)?;
     let observed_events: u64 = obs.iter().map(|o| o.events.len() as u64).sum();
     if observed_events != scene.events {
         eprintln!(
@@ -2091,7 +2055,6 @@ fn main() {
     let mut online_modes: Vec<sdds::OnlineMode> = sdds::OnlineMode::all().to_vec();
     let mut verbose = false;
     let mut scales: Vec<f64> = vec![1.0, 10.0, 100.0];
-    let mut jobs_list: Vec<usize> = vec![1, 2, 4, 8];
     let mut shards = sdds_runtime::ShardPolicy::Auto;
     let mut epoch_us: Option<u64> = None;
     let mut digest_path: Option<std::path::PathBuf> = None;
@@ -2248,25 +2211,6 @@ fn main() {
                 }
                 i += 2;
             }
-            "--jobs-list" => {
-                let raw = operand(&args, i);
-                jobs_list = raw
-                    .split(',')
-                    .map(|s| {
-                        let n: usize = s.trim().parse().unwrap_or_else(|_| {
-                            fail(&format!("invalid worker count `{s}` in --jobs-list"))
-                        });
-                        if n == 0 {
-                            fail("--jobs-list entries must be at least 1");
-                        }
-                        n
-                    })
-                    .collect();
-                if jobs_list.is_empty() {
-                    fail("--jobs-list needs at least one worker count");
-                }
-                i += 2;
-            }
             "--shards" => {
                 let raw = operand(&args, i);
                 shards = if raw == "auto" {
@@ -2369,7 +2313,6 @@ fn main() {
     if experiment == "scale" {
         match run_scale_cmd(
             &scales,
-            &jobs_list,
             shards,
             epoch_us,
             repeat,

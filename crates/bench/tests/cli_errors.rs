@@ -40,6 +40,15 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn scale_worker_list_is_an_unknown_flag() {
+    let out = repro(&["scale", "--jobs-list", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown option `--jobs-list`"));
+    assert!(err.contains("usage: repro"));
+}
+
+#[test]
 fn unparsable_operand_is_a_usage_error() {
     let out = repro(&["table3", "--procs", "many"]);
     assert_eq!(out.status.code(), Some(2));

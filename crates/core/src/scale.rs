@@ -4,8 +4,8 @@
 //! factor `F` (client processes and I/O groups grow linearly, shared-link
 //! fan-in grows with `F`) and runs it on the sharded time-domain kernel.
 //! [`ScaleSceneConfig`] picks the factor, shard policy and epoch window;
-//! [`run_scale`] validates, builds the scene and runs it, returning the
-//! jobs-invariant [`SceneResult`].
+//! [`run_scale`] validates, builds the scene and runs it, returning its
+//! [`SceneResult`].
 
 use sdds_runtime::{SceneResult, ShardPolicy};
 use sdds_workloads::{scaled_scene, SceneSpec};
@@ -70,15 +70,15 @@ impl ScaleSceneConfig {
     }
 }
 
-/// Builds the scaled scene and runs it on `jobs` workers.
+/// Builds the scaled scene and runs it on the calling thread.
 ///
-/// The returned metrics are bitwise identical for every `jobs` value;
-/// wall-clock throughput is the caller's to measure around this call.
-pub fn run_scale(cfg: &ScaleSceneConfig, jobs: usize) -> Result<SceneResult, SddsError> {
+/// The returned metrics are a pure function of `cfg`; wall-clock
+/// throughput is the caller's to measure around this call.
+pub fn run_scale(cfg: &ScaleSceneConfig) -> Result<SceneResult, SddsError> {
     cfg.validate().map_err(SddsError::Config)?;
     let spec = cfg.spec();
     let window = cfg.epoch_for(&spec);
-    sdds_runtime::run_scene(&spec, cfg.shards, window, jobs).map_err(|source| SddsError::Scene {
+    sdds_runtime::run_scene(&spec, cfg.shards, window, 1).map_err(|source| SddsError::Scene {
         scale: cfg.factor,
         source,
     })
@@ -86,16 +86,15 @@ pub fn run_scale(cfg: &ScaleSceneConfig, jobs: usize) -> Result<SceneResult, Sdd
 
 /// Like [`run_scale`], but with the sharded kernel's per-shard observer
 /// enabled: additionally returns one [`simkit::shard::ShardObs`] per
-/// shard for barrier-stall and load-imbalance accounting. The metrics
-/// are bitwise identical to [`run_scale`].
+/// shard for load-imbalance accounting. The metrics are bitwise
+/// identical to [`run_scale`].
 pub fn run_scale_observed(
     cfg: &ScaleSceneConfig,
-    jobs: usize,
 ) -> Result<(SceneResult, Vec<simkit::shard::ShardObs>), SddsError> {
     cfg.validate().map_err(SddsError::Config)?;
     let spec = cfg.spec();
     let window = cfg.epoch_for(&spec);
-    sdds_runtime::run_scene_observed(&spec, cfg.shards, window, jobs).map_err(|source| {
+    sdds_runtime::run_scene_observed(&spec, cfg.shards, window, 1).map_err(|source| {
         SddsError::Scene {
             scale: cfg.factor,
             source,
@@ -108,14 +107,19 @@ mod tests {
     use super::*;
     use sdds_runtime::SceneError;
 
+    /// The process-wide `--jobs` setting sizes the experiment pool only;
+    /// the scene runs on the calling thread and never reads it.
     #[test]
     fn default_config_runs_and_matches_across_jobs() {
         let cfg = ScaleSceneConfig {
             factor: 0.2,
             ..ScaleSceneConfig::default()
         };
-        let a = run_scale(&cfg, 1).unwrap();
-        let b = run_scale(&cfg, 4).unwrap();
+        simkit::pool::set_jobs(1);
+        let a = run_scale(&cfg).unwrap();
+        simkit::pool::set_jobs(4);
+        let b = run_scale(&cfg).unwrap();
+        simkit::pool::set_jobs(0);
         assert_eq!(a.digest(), b.digest());
         assert!(a.events > 0);
     }
@@ -127,7 +131,7 @@ mod tests {
                 factor: f,
                 ..ScaleSceneConfig::default()
             };
-            match run_scale(&cfg, 1) {
+            match run_scale(&cfg) {
                 Err(e @ SddsError::Config(_)) => assert_eq!(e.exit_code(), 3),
                 other => panic!("factor {f}: expected config error, got {other:?}"),
             }
@@ -141,7 +145,7 @@ mod tests {
             epoch: Some(SimDuration::from_secs(1)),
             ..ScaleSceneConfig::default()
         };
-        match run_scale(&cfg, 1) {
+        match run_scale(&cfg) {
             Err(
                 e @ SddsError::Scene {
                     source: SceneError::BadEpoch { .. },

@@ -1,9 +1,8 @@
-//! Determinism guarantees of the sharded scale-scene kernel.
+//! Partition invariance of the sharded scale-scene kernel.
 //!
-//! The contract `repro scale` and CI rely on: the digest — and therefore
-//! every simulation metric — of a scene run is byte-identical for every
-//! worker count, and every metric except the (partition-dependent)
-//! trace hash is also identical for every shard count.
+//! The contract `repro scale` and CI rely on: every metric of a scene
+//! run except the (partition-dependent) trace hash is byte-identical for
+//! every shard count, and so is the observer's merged event stream.
 
 use proptest::prelude::*;
 use sdds::{run_scale, run_scale_observed, ScaleSceneConfig};
@@ -28,38 +27,23 @@ fn partition_free(digest: &str) -> String {
 }
 
 #[test]
-fn mid_size_scene_is_byte_identical_across_jobs() {
-    let cfg = ScaleSceneConfig {
+fn mid_size_scene_metrics_survive_any_partition() {
+    let auto = run_scale(&ScaleSceneConfig {
         factor: 3.0,
         ..ScaleSceneConfig::default()
-    };
-    let reference = run_scale(&cfg, 1).expect("scene runs").digest();
-    assert!(reference.contains("\"schema\":\"sdds-scale-digest-v1\""));
-    for jobs in [2, 4, 8] {
-        let digest = run_scale(&cfg, jobs).expect("scene runs").digest();
-        assert_eq!(digest, reference, "digest diverged at jobs={jobs}");
-    }
-}
-
-#[test]
-fn mid_size_scene_metrics_survive_any_partition() {
-    let auto = run_scale(
-        &ScaleSceneConfig {
-            factor: 3.0,
-            ..ScaleSceneConfig::default()
-        },
-        2,
-    )
+    })
     .expect("scene runs");
     assert!(auto.events > 0 && auto.clients > 0);
-    let reference = partition_free(&auto.digest());
+    let digest = auto.digest();
+    assert!(digest.contains("\"schema\":\"sdds-scale-digest-v1\""));
+    let reference = partition_free(&digest);
     for shards in [1, 5, 13] {
         let cfg = ScaleSceneConfig {
             factor: 3.0,
             shards: ShardPolicy::Fixed(shards),
             ..ScaleSceneConfig::default()
         };
-        let digest = partition_free(&run_scale(&cfg, 2).expect("scene runs").digest());
+        let digest = partition_free(&run_scale(&cfg).expect("scene runs").digest());
         assert_eq!(digest, reference, "metrics diverged at shards={shards}");
     }
 }
@@ -82,36 +66,35 @@ fn render_stream(obs: &[simkit::shard::ShardObs]) -> String {
 }
 
 #[test]
-fn merged_observer_stream_is_byte_identical_across_jobs_and_partitions() {
+fn merged_observer_stream_is_byte_identical_across_partitions() {
     // Telemetry-on runs: the observer's merged span stream from any
-    // sharded multi-worker run must be byte-identical to the
-    // single-shard single-worker stream, and the run's own digest must
-    // be unchanged by observation.
+    // sharded run must be byte-identical to the single-shard stream, and
+    // the run's own digest must be unchanged by observation.
     let base = ScaleSceneConfig {
         factor: 1.0,
         shards: ShardPolicy::Fixed(1),
         ..ScaleSceneConfig::default()
     };
-    let (one, obs_one) = run_scale_observed(&base, 1).expect("scene runs");
+    let (one, obs_one) = run_scale_observed(&base).expect("scene runs");
     let reference = render_stream(&obs_one);
     assert!(!reference.is_empty());
     assert_eq!(
         one.digest(),
-        run_scale(&base, 1).expect("scene runs").digest(),
+        run_scale(&base).expect("scene runs").digest(),
         "observer must not perturb the simulated outcome"
     );
-    for (shards, jobs) in [(1usize, 4usize), (7, 2), (13, 8)] {
+    for shards in [7usize, 13] {
         let cfg = ScaleSceneConfig {
             factor: 1.0,
             shards: ShardPolicy::Fixed(shards),
             ..ScaleSceneConfig::default()
         };
-        let (r, obs) = run_scale_observed(&cfg, jobs).expect("scene runs");
+        let (r, obs) = run_scale_observed(&cfg).expect("scene runs");
         assert_eq!(obs.len(), shards);
         assert_eq!(
             render_stream(&obs),
             reference,
-            "merged stream diverged at shards={shards} jobs={jobs}"
+            "merged stream diverged at shards={shards}"
         );
         // Per-epoch deltas reconcile with the kernel's event counters.
         let epoch_events: u64 = obs.iter().flat_map(|o| &o.epochs).map(|d| d.events).sum();
@@ -123,13 +106,12 @@ proptest! {
     // Full scene runs per case: keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For any small scene, shard count and worker count, the
-    /// partition-free digest equals the single-shard single-worker one.
+    /// For any small scene and shard count, the partition-free digest
+    /// equals the single-shard one.
     #[test]
-    fn any_partition_and_worker_count_agree(
+    fn any_partition_agrees_with_one_shard(
         scale in 1u32..8,
         shards in 1usize..16,
-        jobs in 1usize..9,
     ) {
         let factor = f64::from(scale) * 0.25;
         let base = ScaleSceneConfig {
@@ -137,13 +119,13 @@ proptest! {
             shards: ShardPolicy::Fixed(1),
             ..ScaleSceneConfig::default()
         };
-        let reference = partition_free(&run_scale(&base, 1).expect("scene runs").digest());
+        let reference = partition_free(&run_scale(&base).expect("scene runs").digest());
         let cfg = ScaleSceneConfig {
             factor,
             shards: ShardPolicy::Fixed(shards),
             ..ScaleSceneConfig::default()
         };
-        let digest = partition_free(&run_scale(&cfg, jobs).expect("scene runs").digest());
+        let digest = partition_free(&run_scale(&cfg).expect("scene runs").digest());
         prop_assert_eq!(digest, reference);
     }
 }

@@ -3,10 +3,10 @@
 //! Turns a [`SceneSpec`] (from `sdds-workloads`) into shard components —
 //! [`ClientProc`]s behind `sdds-storage`'s shared links and burst-buffer
 //! groups, plus one [`GlobalScheduler`] arbitrating the periodic global
-//! I/O schedule — and drives them on a [`ShardedKernel`]. The result is
-//! bitwise identical for any worker count; [`SceneResult::digest`]
-//! renders the jobs-invariant metrics as a canonical JSON line so tests
-//! and CI can `cmp` runs at different `--jobs`.
+//! I/O schedule — and drives them on a [`ShardedKernel`]. Every metric
+//! except the trace hash is identical for any shard partition;
+//! [`SceneResult::digest`] renders them as a canonical JSON line so tests
+//! and CI can `cmp` runs byte for byte.
 //!
 //! Every send uses the scene's hop latency, and the kernel's epoch
 //! window must not exceed it — [`build_scene`] enforces that lookahead
@@ -494,14 +494,13 @@ pub struct SceneResult {
     pub spin_downs: u64,
     /// Requests served by disk banks (incl. drain chunks).
     pub disk_requests: u64,
-    /// Order-sensitive event digest (worker-count invariant; depends on
-    /// the shard partition).
+    /// Order-sensitive event digest (depends on the shard partition).
     pub trace_hash: u64,
 }
 
 impl SceneResult {
     /// Canonical one-line JSON digest (`sdds-scale-digest-v1`) of every
-    /// jobs-invariant field; byte-identical across worker counts.
+    /// field; byte-identical across runs of the same scene and partition.
     #[must_use]
     pub fn digest(&self) -> String {
         format!(
@@ -552,41 +551,42 @@ impl SceneResult {
     }
 }
 
-/// Builds and runs `spec` on `shards` shards with `jobs` workers,
-/// collecting the jobs-invariant [`SceneResult`].
+/// Builds and runs `spec` on the shards `policy` resolves to, collecting
+/// the [`SceneResult`]. The shards run on the calling thread; `_jobs` is
+/// ignored.
 pub fn run_scene(
     spec: &SceneSpec,
     policy: ShardPolicy,
     window: SimDuration,
-    jobs: usize,
+    _jobs: usize,
 ) -> Result<SceneResult, SceneError> {
     let shards = policy.resolve(spec.component_count());
     let mut kernel = build_scene(spec, shards, window)?;
-    let stats = kernel.run(jobs, SimTime::MAX).map_err(SceneError::Kernel)?;
+    let stats = kernel.run().map_err(SceneError::Kernel)?;
     collect_scene_result(kernel, spec, shards, window, stats)
 }
 
 /// Like [`run_scene`], but with the kernel's per-shard observer enabled:
 /// additionally returns one [`ShardObs`] per shard (event logs in the
 /// canonical partition-invariant key space plus aligned per-epoch
-/// deltas) for barrier-stall and load-imbalance accounting. The
-/// [`SceneResult`] is bitwise identical to the unobserved run.
+/// deltas) for load-imbalance accounting. The [`SceneResult`] is bitwise
+/// identical to the unobserved run; `_jobs` is ignored.
 pub fn run_scene_observed(
     spec: &SceneSpec,
     policy: ShardPolicy,
     window: SimDuration,
-    jobs: usize,
+    _jobs: usize,
 ) -> Result<(SceneResult, Vec<ShardObs>), SceneError> {
     let shards = policy.resolve(spec.component_count());
     let mut kernel = build_scene(spec, shards, window)?;
     kernel.enable_observer();
-    let stats = kernel.run(jobs, SimTime::MAX).map_err(SceneError::Kernel)?;
+    let stats = kernel.run().map_err(SceneError::Kernel)?;
     let obs = kernel.take_observations();
     let result = collect_scene_result(kernel, spec, shards, window, stats)?;
     Ok((result, obs))
 }
 
-/// Folds a finished kernel into the jobs-invariant [`SceneResult`].
+/// Folds a finished kernel into its [`SceneResult`].
 fn collect_scene_result(
     kernel: ShardedKernel<SceneMsg, SceneComponent>,
     spec: &SceneSpec,
@@ -625,7 +625,7 @@ fn collect_scene_result(
 
     let mut unfinished = 0usize;
     // Global registration order keeps every floating-point accumulation
-    // sequence fixed, independent of shard partition and worker count.
+    // sequence fixed, independent of the shard partition.
     for comp in kernel.into_components() {
         match comp {
             SceneComponent::Group(mut g) => {
@@ -695,20 +695,10 @@ mod tests {
     }
 
     #[test]
-    fn digests_are_jobs_invariant() {
-        let spec = small_spec();
-        let base = run_scene(&spec, ShardPolicy::Auto, spec.hop_latency, 1).unwrap();
-        for jobs in [2usize, 4] {
-            let r = run_scene(&spec, ShardPolicy::Auto, spec.hop_latency, jobs).unwrap();
-            assert_eq!(r.digest(), base.digest(), "digest diverged at jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn metrics_are_partition_invariant() {
         let spec = small_spec();
         let one = run_scene(&spec, ShardPolicy::Fixed(1), spec.hop_latency, 1).unwrap();
-        let many = run_scene(&spec, ShardPolicy::Fixed(7), spec.hop_latency, 2).unwrap();
+        let many = run_scene(&spec, ShardPolicy::Fixed(7), spec.hop_latency, 1).unwrap();
         // Everything except the shard count and the partition-sensitive
         // trace hash must agree with the single-shard run.
         assert_eq!(one.events, many.events);
@@ -724,9 +714,9 @@ mod tests {
     #[test]
     fn observed_run_matches_unobserved_and_reconciles() {
         let spec = small_spec();
-        let plain = run_scene(&spec, ShardPolicy::Fixed(5), spec.hop_latency, 2).unwrap();
+        let plain = run_scene(&spec, ShardPolicy::Fixed(5), spec.hop_latency, 1).unwrap();
         let (observed, obs) =
-            run_scene_observed(&spec, ShardPolicy::Fixed(5), spec.hop_latency, 2).unwrap();
+            run_scene_observed(&spec, ShardPolicy::Fixed(5), spec.hop_latency, 1).unwrap();
         assert_eq!(
             observed.digest(),
             plain.digest(),

@@ -25,9 +25,9 @@
 //!   roots with parent-linked member requests, exact per-span energy and
 //!   an exact latency critical-path decomposition,
 //! * [`shard`] — the sharded time-domain kernel: components partitioned
-//!   across per-shard calendars advancing in epoch windows with barrier
-//!   message exchange in a canonical order, bitwise identical for any
-//!   worker count,
+//!   across per-shard calendars advancing on one thread in epoch windows,
+//!   with messages delivered in a canonical order so every metric is
+//!   identical for any shard partition,
 //! * [`stats`] — online summaries, bucketed histograms and CDFs used to
 //!   reproduce the figures of the paper,
 //! * [`telemetry`] — structured trace events, export formats (JSONL and

@@ -2,24 +2,24 @@
 //!
 //! [`ShardedKernel`] partitions a scene's components across *shards*, each
 //! owning a private [`Calendar`] and message inbox, and runs the shards in
-//! lock-step *epochs* of a fixed time window. Within an epoch every shard
-//! advances independently (optionally on parallel workers); at the epoch
-//! barrier all cross-component messages produced during the epoch are
-//! exchanged in one canonical order and the next epoch window is derived
-//! from the global minimum next-event time (empty windows are skipped, so
-//! sparse scenes do not pay per-window cost).
+//! lock-step *epochs* of a fixed time window on the calling thread. Within
+//! an epoch every shard advances independently; at the end of the epoch
+//! every message produced during it is routed to its destination inbox and
+//! the next epoch window is derived from the global minimum next-event
+//! time (empty windows are skipped, so sparse scenes do not pay
+//! per-window cost).
 //!
 //! # Determinism
 //!
-//! The simulated outcome is **bitwise identical for any worker count and
-//! any shard partition**:
+//! The simulated outcome is **bitwise identical for any shard partition**
+//! (up to the partition-dependent [`ShardRunStats::trace_hash`]):
 //!
 //! * Every message — even one whose destination lives on the same shard —
 //!   travels through the epoch outbox and is delivered from the
 //!   destination inbox, a [`std::collections::BinaryHeap`] ordered by the
 //!   globally unique key `(deliver_at, dst, src, seq)` where `seq` is a
 //!   per-sender monotone counter. Delivery order therefore never depends
-//!   on which shard or worker produced the message.
+//!   on which shard produced the message.
 //! * Epoch boundaries are aligned to a fixed grid of `window`-sized cells
 //!   and chosen from the *global* minimum next-event time, which is a
 //!   partition-independent quantity.
@@ -33,7 +33,7 @@
 //! Conservative epoch synchronization is only correct when a message sent
 //! at time `t` inside a window `[s, s + w)` is delivered at or after
 //! `s + w`. Components guarantee this by using a hop latency `≥ w` for
-//! every send; the kernel verifies the invariant at each barrier and
+//! every send; the kernel verifies the invariant at each epoch end and
 //! returns [`ShardError::LookaheadViolation`] instead of silently
 //! reordering history.
 //!
@@ -62,7 +62,7 @@
 //! let mut k = ShardedKernel::new(2, SimDuration::from_millis(1)).unwrap();
 //! let a = k.add(0, Node { peer: None, start: None, received: 0 }).unwrap();
 //! let _b = k.add(1, Node { peer: Some(a), start: Some(SimTime::ZERO), received: 0 }).unwrap();
-//! let stats = k.run(1, SimTime::MAX).unwrap();
+//! let stats = k.run().unwrap();
 //! assert_eq!(stats.events, 2);
 //! assert_eq!(k.components().next().unwrap().received, 7);
 //! ```
@@ -70,8 +70,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use crate::kernel::{ArbitrationPolicy, Calendar, SlotId};
 use crate::{SimDuration, SimTime};
@@ -110,7 +108,7 @@ impl GlobalSlot {
 /// [`Self::next_tick`] after every callback. All interaction between
 /// components must go through [`ShardCtx::send`] with a delivery latency
 /// of at least the kernel's epoch window.
-pub trait ShardComponent<M>: Send {
+pub trait ShardComponent<M> {
     /// The next time this component wants [`Self::tick`] to run, if any.
     ///
     /// Re-read after every `tick`/`on_message`; returning a time earlier
@@ -153,7 +151,7 @@ impl<M> ShardCtx<'_, M> {
     /// `at` must satisfy the kernel's lookahead contract: it has to fall
     /// at or after the end of the epoch window the send happens in (any
     /// fixed latency `≥` the epoch window does, because windows are
-    /// grid-aligned). Violations are detected at the next barrier and
+    /// grid-aligned). Violations are detected at the end of the epoch and
     /// reported as [`ShardError::LookaheadViolation`].
     #[inline]
     pub fn send(&mut self, dst: GlobalSlot, at: SimTime, msg: M) {
@@ -164,7 +162,6 @@ impl<M> ShardCtx<'_, M> {
             dst: dst.0,
             src: self.self_slot.0,
             seq,
-            dst_shard: 0,
             dst_local: 0,
             msg,
         });
@@ -187,8 +184,8 @@ struct Envelope<M> {
     dst: u32,
     src: u32,
     seq: u64,
-    /// Routing hints filled in by the kernel during the barrier exchange.
-    dst_shard: u32,
+    /// The destination's index on its shard, filled in when the kernel
+    /// routes the envelope.
     dst_local: u32,
     msg: M,
 }
@@ -289,7 +286,7 @@ impl std::error::Error for ShardError {}
 /// mirroring the kernel's messages-first tie rule. Because the *set* of
 /// processed events is partition-invariant, sorting the concatenated
 /// per-shard logs (see [`merge_events`]) yields a stream that is byte
-/// identical for every worker count and shard partition.
+/// identical for every shard partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ShardEvent {
     /// Simulated time of the event.
@@ -308,8 +305,8 @@ pub struct ShardEvent {
 ///
 /// Every shard records exactly one entry per global epoch (a shard with
 /// no work in the window records zeros), so the epoch logs of all shards
-/// align by index and can be compared side by side for barrier-stall and
-/// load-imbalance accounting.
+/// align by index and can be compared side by side for load-imbalance
+/// accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochObs {
     /// End of the epoch window (exclusive).
@@ -332,7 +329,7 @@ pub struct ShardObs {
 
 /// Merges per-shard event logs into the canonical partition-invariant
 /// stream (sorted by the [`ShardEvent`] key). The result is identical
-/// for every worker count and every shard partition of the same scene.
+/// for every shard partition of the same scene.
 #[must_use]
 pub fn merge_events(obs: &[ShardObs]) -> Vec<ShardEvent> {
     let mut all: Vec<ShardEvent> = obs.iter().flat_map(|o| o.events.iter().copied()).collect();
@@ -351,15 +348,15 @@ pub struct EpochImbalance {
     /// Events processed by all shards this epoch.
     pub total_events: u64,
     /// `Σ (max_events − shard events)`: the events' worth of capacity
-    /// the other shards spend waiting at the epoch barrier while the
-    /// busiest shard finishes — the kernel's barrier-stall proxy.
+    /// the other shards would spend waiting at the epoch end if every
+    /// shard ran on its own worker — the partition's barrier-stall proxy.
     pub stall_events: u64,
 }
 
-/// Folds aligned per-shard epoch logs into per-epoch barrier-stall and
-/// load-imbalance accounting. Epochs are aligned by index; a shard
-/// whose log is shorter (possible only after a mid-run error) simply
-/// contributes zeros to the trailing epochs.
+/// Folds aligned per-shard epoch logs into per-epoch load-imbalance
+/// accounting. Epochs are aligned by index; a shard whose log is shorter
+/// (possible only after a mid-run error) simply contributes zeros to the
+/// trailing epochs.
 #[must_use]
 pub fn epoch_imbalance(obs: &[ShardObs]) -> Vec<EpochImbalance> {
     let epochs = obs.iter().map(|o| o.epochs.len()).max().unwrap_or(0);
@@ -401,8 +398,8 @@ pub struct ShardRunStats {
     /// Timestamp of the latest event processed (`SimTime::ZERO` if none).
     pub end: SimTime,
     /// Order-sensitive digest of every `(time, slot, kind)` processed,
-    /// folded per shard then combined in shard order. Identical for any
-    /// worker count; it *does* depend on the shard partition.
+    /// folded per shard then combined in shard order. Unlike every other
+    /// counter here, it depends on the shard partition.
     pub trace_hash: u64,
 }
 
@@ -557,20 +554,7 @@ impl<M, C: ShardComponent<M>> Shard<M, C> {
     }
 }
 
-/// Envelopes grouped by destination shard plus their minimum delivery
-/// time, as produced by the barrier exchange.
-type RoutedEnvelopes<M> = (Vec<Vec<Envelope<M>>>, Option<SimTime>);
-
-/// Mailbox shared between the coordinator and one worker thread.
-struct WorkerSlot<M> {
-    /// Messages routed to this worker's shards, absorbed at epoch start.
-    incoming: Mutex<Vec<Envelope<M>>>,
-    /// This worker's epoch products: collected outboxes and the minimum
-    /// next-event time across its shards after the epoch ran.
-    report: Mutex<(Vec<Envelope<M>>, Option<SimTime>)>,
-}
-
-/// The sharded epoch-barrier kernel. See the [module docs](self) for the
+/// The sharded epoch kernel. See the [module docs](self) for the
 /// execution model and determinism argument.
 pub struct ShardedKernel<M, C> {
     shards: Vec<Shard<M, C>>,
@@ -589,7 +573,7 @@ impl<M, C> fmt::Debug for ShardedKernel<M, C> {
     }
 }
 
-impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
+impl<M, C: ShardComponent<M>> ShardedKernel<M, C> {
     /// Creates a kernel with `shards` empty shards and the given epoch
     /// window. Fails on zero shards or a zero window.
     pub fn new(shards: usize, window: SimDuration) -> Result<Self, ShardError> {
@@ -704,60 +688,47 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
         SimTime::from_micros(cell.saturating_add(1).saturating_mul(w))
     }
 
-    /// Routes one epoch's collected envelopes: verifies the lookahead
-    /// contract, resolves destination shard/local indices, and returns
-    /// the envelopes grouped by destination shard along with the minimum
-    /// delivery time.
-    fn route(
-        &self,
-        collected: Vec<Envelope<M>>,
-        epoch_end: SimTime,
-    ) -> Result<RoutedEnvelopes<M>, ShardError> {
-        let mut per_shard: Vec<Vec<Envelope<M>>> = Vec::with_capacity(self.shards.len());
-        per_shard.resize_with(self.shards.len(), Vec::new);
-        let mut min_at: Option<SimTime> = None;
-        for mut env in collected {
-            if env.at < epoch_end {
-                return Err(ShardError::LookaheadViolation {
-                    src: env.src,
-                    at: env.at,
-                    epoch_end,
-                });
+    /// Routes every envelope sent during the epoch ending at `epoch_end`
+    /// straight into its destination inbox, verifying the lookahead
+    /// contract and resolving the destination's local index on the way.
+    fn route(&mut self, epoch_end: SimTime) -> Result<(), ShardError> {
+        for i in 0..self.shards.len() {
+            let mut outbox = std::mem::take(&mut self.shards[i].outbox);
+            for mut env in outbox.drain(..) {
+                if env.at < epoch_end {
+                    return Err(ShardError::LookaheadViolation {
+                        src: env.src,
+                        at: env.at,
+                        epoch_end,
+                    });
+                }
+                let Some(&(s, l)) = self.index.get(env.dst as usize) else {
+                    return Err(ShardError::UnknownSlot {
+                        src: env.src,
+                        dst: env.dst,
+                    });
+                };
+                env.dst_local = l;
+                self.shards[s as usize].inbox.push(Reverse(env));
             }
-            let Some(&(s, l)) = self.index.get(env.dst as usize) else {
-                return Err(ShardError::UnknownSlot {
-                    src: env.src,
-                    dst: env.dst,
-                });
-            };
-            env.dst_shard = s;
-            env.dst_local = l;
-            min_at = Some(min_at.map_or(env.at, |m| m.min(env.at)));
-            per_shard[s as usize].push(env);
+            self.shards[i].outbox = outbox;
         }
-        Ok((per_shard, min_at))
+        Ok(())
     }
 
-    /// Runs the scene until it is quiescent or the next event time
-    /// exceeds `horizon` (pass [`SimTime::MAX`] to run to quiescence;
-    /// a mid-window horizon still finishes its epoch window).
-    ///
-    /// `jobs` is the worker count: `0` means the process-wide
-    /// [`crate::pool::jobs`] setting, `1` runs inline, larger values run
-    /// shards on that many persistent worker threads. The result is
-    /// bitwise identical for every `jobs` value.
-    pub fn run(&mut self, jobs: usize, horizon: SimTime) -> Result<ShardRunStats, ShardError> {
-        let jobs = if jobs == 0 { crate::pool::jobs() } else { jobs };
-        let workers = jobs.min(self.shards.len()).max(1);
-        let epochs = if workers <= 1 {
-            self.run_inline(horizon)?
-        } else {
-            self.run_threaded(workers, horizon)?
-        };
-        let mut stats = ShardRunStats {
-            epochs,
-            ..ShardRunStats::default()
-        };
+    /// Runs the scene until it is quiescent: epoch after epoch, every
+    /// shard runs the grid cell holding the earliest pending event, then
+    /// the epoch's messages are routed.
+    pub fn run(&mut self) -> Result<ShardRunStats, ShardError> {
+        let mut stats = ShardRunStats::default();
+        while let Some(t) = self.shards.iter_mut().filter_map(Shard::next_time).min() {
+            let end = self.cell_end(t);
+            for s in &mut self.shards {
+                s.run_epoch(end);
+            }
+            stats.epochs += 1;
+            self.route(end)?;
+        }
         for s in &self.shards {
             stats.events += s.events;
             stats.messages += s.messages;
@@ -765,187 +736,6 @@ impl<M: Send, C: ShardComponent<M>> ShardedKernel<M, C> {
             stats.trace_hash = mix(stats.trace_hash, s.trace_hash);
         }
         Ok(stats)
-    }
-
-    /// Single-worker epoch loop; no threads, same exchange protocol.
-    fn run_inline(&mut self, horizon: SimTime) -> Result<u64, ShardError> {
-        let mut epochs = 0u64;
-        loop {
-            let next = self.shards.iter_mut().filter_map(Shard::next_time).min();
-            let Some(t) = next else { break };
-            if t > horizon {
-                break;
-            }
-            let end = self.cell_end(t);
-            for s in &mut self.shards {
-                s.run_epoch(end);
-            }
-            epochs += 1;
-            let mut collected = Vec::new();
-            for s in &mut self.shards {
-                collected.append(&mut s.outbox);
-            }
-            let (per_shard, _) = self.route(collected, end)?;
-            for (s, envs) in self.shards.iter_mut().zip(per_shard) {
-                for env in envs {
-                    s.inbox.push(Reverse(env));
-                }
-            }
-        }
-        Ok(epochs)
-    }
-
-    /// Multi-worker epoch loop: persistent scoped threads, two barrier
-    /// crossings per epoch (start work / collect results).
-    fn run_threaded(&mut self, workers: usize, horizon: SimTime) -> Result<u64, ShardError> {
-        // Shard i runs on worker i % workers at position i / workers;
-        // the coordinator routes messages with the same arithmetic.
-        let mut initial = self.shards.iter_mut().filter_map(Shard::next_time).min();
-        let index = std::mem::take(&mut self.index);
-        let window = self.window;
-        let cell_end = |t: SimTime| {
-            let w = window.as_micros().max(1);
-            SimTime::from_micros((t.as_micros() / w).saturating_add(1).saturating_mul(w))
-        };
-
-        let mut assigned: Vec<Vec<&mut Shard<M, C>>> = Vec::with_capacity(workers);
-        assigned.resize_with(workers, Vec::new);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            assigned[i % workers].push(s);
-        }
-
-        let slots: Vec<WorkerSlot<M>> = (0..workers)
-            .map(|_| WorkerSlot {
-                incoming: Mutex::new(Vec::new()),
-                report: Mutex::new((Vec::new(), None)),
-            })
-            .collect();
-        // Epoch end in micros; u64::MAX is the shutdown signal.
-        let epoch_end = AtomicU64::new(0);
-        let barrier = Barrier::new(workers + 1);
-
-        let mut epochs = 0u64;
-        let mut run_err: Option<ShardError> = None;
-
-        std::thread::scope(|scope| {
-            for (w, mine) in assigned.into_iter().enumerate() {
-                let slot = &slots[w];
-                let barrier = &barrier;
-                let epoch_end = &epoch_end;
-                let mut mine = mine;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let end = epoch_end.load(Ordering::SeqCst);
-                    if end == u64::MAX {
-                        break;
-                    }
-                    let end = SimTime::from_micros(end);
-                    {
-                        let mut inc = slot
-                            .incoming
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        for env in inc.drain(..) {
-                            let pos = (env.dst_shard as usize) / workers;
-                            mine[pos].inbox.push(Reverse(env));
-                        }
-                    }
-                    let mut out = Vec::new();
-                    let mut next: Option<SimTime> = None;
-                    for shard in mine.iter_mut() {
-                        shard.run_epoch(end);
-                        out.append(&mut shard.outbox);
-                        if let Some(t) = shard.next_time() {
-                            next = Some(next.map_or(t, |n| n.min(t)));
-                        }
-                    }
-                    {
-                        let mut rep = slot
-                            .report
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *rep = (out, next);
-                    }
-                    barrier.wait();
-                });
-            }
-
-            // Coordinator loop.
-            while let Some(t) = initial {
-                if t > horizon {
-                    break;
-                }
-                let end = cell_end(t);
-                epoch_end.store(end.as_micros(), Ordering::SeqCst);
-                barrier.wait(); // workers absorb + run the epoch
-                barrier.wait(); // workers published their reports
-                epochs += 1;
-
-                let mut collected = Vec::new();
-                let mut min_next: Option<SimTime> = None;
-                for slot in &slots {
-                    let mut rep = slot
-                        .report
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let (out, next) = std::mem::take(&mut *rep);
-                    collected.extend(out);
-                    if let Some(t) = next {
-                        min_next = Some(min_next.map_or(t, |n| n.min(t)));
-                    }
-                }
-                let mut min_routed: Option<SimTime> = None;
-                let mut routed: Vec<Vec<Envelope<M>>> = Vec::with_capacity(workers);
-                routed.resize_with(workers, Vec::new);
-                let mut failed = None;
-                for mut env in collected {
-                    if env.at < end {
-                        failed = Some(ShardError::LookaheadViolation {
-                            src: env.src,
-                            at: env.at,
-                            epoch_end: end,
-                        });
-                        break;
-                    }
-                    let Some(&(s, l)) = index.get(env.dst as usize) else {
-                        failed = Some(ShardError::UnknownSlot {
-                            src: env.src,
-                            dst: env.dst,
-                        });
-                        break;
-                    };
-                    env.dst_shard = s;
-                    env.dst_local = l;
-                    min_routed = Some(min_routed.map_or(env.at, |m| m.min(env.at)));
-                    routed[(s as usize) % workers].push(env);
-                }
-                if let Some(e) = failed {
-                    run_err = Some(e);
-                    break;
-                }
-                for (slot, envs) in slots.iter().zip(routed) {
-                    if !envs.is_empty() {
-                        let mut inc = slot
-                            .incoming
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        inc.extend(envs);
-                    }
-                }
-                initial = match (min_next, min_routed) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            epoch_end.store(u64::MAX, Ordering::SeqCst);
-            barrier.wait();
-        });
-
-        self.index = index;
-        match run_err {
-            Some(e) => Err(e),
-            None => Ok(epochs),
-        }
     }
 }
 
@@ -1016,7 +806,7 @@ mod tests {
     #[test]
     fn ping_pong_terminates_with_expected_counts() {
         let mut k = build_ring(2, 2, 4);
-        let stats = k.run(1, SimTime::MAX).unwrap();
+        let stats = k.run().unwrap();
         // 2 ticks + messages until both sides have received 4.
         let comps: Vec<_> = k.components().collect();
         assert_eq!(comps[0].received, 4);
@@ -1027,26 +817,13 @@ mod tests {
     }
 
     #[test]
-    fn jobs_invariance_bitwise() {
-        let mut base = build_ring(4, 16, 8);
-        let s1 = base.run(1, SimTime::MAX).unwrap();
-        let f1 = fingerprint(&base);
-        for jobs in [2usize, 3, 4, 8] {
-            let mut k = build_ring(4, 16, 8);
-            let s = k.run(jobs, SimTime::MAX).unwrap();
-            assert_eq!(s, s1, "stats diverged at jobs={jobs}");
-            assert_eq!(fingerprint(&k), f1, "logs diverged at jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn partition_invariance_of_component_state() {
         let mut one = build_ring(1, 16, 8);
-        let s_one = one.run(1, SimTime::MAX).unwrap();
+        let s_one = one.run().unwrap();
         let f_one = fingerprint(&one);
         for shards in [2usize, 3, 5, 16] {
             let mut k = build_ring(shards, 16, 8);
-            let s = k.run(2, SimTime::MAX).unwrap();
+            let s = k.run().unwrap();
             assert_eq!(s.events, s_one.events, "events diverged at shards={shards}");
             assert_eq!(s.messages, s_one.messages);
             assert_eq!(s.end, s_one.end);
@@ -1099,7 +876,7 @@ mod tests {
             },
         )
         .unwrap();
-        let stats = k.run(2, SimTime::MAX).unwrap();
+        let stats = k.run().unwrap();
         assert!(
             stats.epochs <= stats.events + 1,
             "epochs {} not sparse",
@@ -1125,29 +902,27 @@ mod tests {
             }
             fn on_message(&mut self, _n: SimTime, _m: u32, _c: &mut ShardCtx<'_, u32>) {}
         }
-        for jobs in [1usize, 2] {
-            let mut k = ShardedKernel::new(2, HOP).unwrap();
-            let a = k
-                .add(
-                    0,
-                    Rude {
-                        peer: GlobalSlot(1),
-                        start: Some(SimTime::ZERO),
-                    },
-                )
-                .unwrap();
-            k.add(
-                1,
+        let mut k = ShardedKernel::new(2, HOP).unwrap();
+        let a = k
+            .add(
+                0,
                 Rude {
-                    peer: a,
-                    start: None,
+                    peer: GlobalSlot(1),
+                    start: Some(SimTime::ZERO),
                 },
             )
             .unwrap();
-            match k.run(jobs, SimTime::MAX) {
-                Err(ShardError::LookaheadViolation { src, .. }) => assert_eq!(src, 0),
-                other => panic!("expected lookahead violation, got {other:?}"),
-            }
+        k.add(
+            1,
+            Rude {
+                peer: a,
+                start: None,
+            },
+        )
+        .unwrap();
+        match k.run() {
+            Err(ShardError::LookaheadViolation { src, .. }) => assert_eq!(src, 0),
+            other => panic!("expected lookahead violation, got {other:?}"),
         }
     }
 
@@ -1174,7 +949,7 @@ mod tests {
             },
         )
         .unwrap();
-        match k.run(1, SimTime::MAX) {
+        match k.run() {
             Err(ShardError::UnknownSlot { dst, .. }) => assert_eq!(dst, 999),
             other => panic!("expected unknown slot, got {other:?}"),
         }
@@ -1203,26 +978,26 @@ mod tests {
 
     #[test]
     fn observer_event_stream_is_partition_invariant() {
-        // Reference: single shard, inline.
+        // Reference: single shard.
         let mut one = build_ring(1, 16, 8);
         one.enable_observer();
-        let s_one = one.run(1, SimTime::MAX).unwrap();
+        let s_one = one.run().unwrap();
         let obs_one = one.take_observations();
         let merged_one = merge_events(&obs_one);
         assert_eq!(merged_one.len() as u64, s_one.events);
         // The merged stream is sorted by the canonical key.
         assert!(merged_one.windows(2).all(|w| w[0] <= w[1]));
 
-        for (shards, jobs) in [(2usize, 1usize), (4, 2), (16, 4)] {
+        for shards in [2usize, 4, 16] {
             let mut k = build_ring(shards, 16, 8);
             k.enable_observer();
-            let s = k.run(jobs, SimTime::MAX).unwrap();
+            let s = k.run().unwrap();
             let obs = k.take_observations();
             assert_eq!(obs.len(), shards);
             assert_eq!(
                 merge_events(&obs),
                 merged_one,
-                "merged stream diverged at shards={shards} jobs={jobs}"
+                "merged stream diverged at shards={shards}"
             );
             // Epoch deltas reconcile with the run totals.
             let events: u64 = obs.iter().flat_map(|o| &o.epochs).map(|d| d.events).sum();
@@ -1248,7 +1023,7 @@ mod tests {
     #[test]
     fn observer_is_off_by_default_and_does_not_perturb_the_run() {
         let mut plain = build_ring(4, 16, 8);
-        let s_plain = plain.run(2, SimTime::MAX).unwrap();
+        let s_plain = plain.run().unwrap();
         let f_plain = fingerprint(&plain);
         assert!(plain
             .take_observations()
@@ -1257,7 +1032,7 @@ mod tests {
 
         let mut observed = build_ring(4, 16, 8);
         observed.enable_observer();
-        let s_obs = observed.run(2, SimTime::MAX).unwrap();
+        let s_obs = observed.run().unwrap();
         assert_eq!(s_obs, s_plain, "observer changed the simulated outcome");
         assert_eq!(fingerprint(&observed), f_plain);
     }
@@ -1265,7 +1040,7 @@ mod tests {
     #[test]
     fn into_components_preserves_global_order() {
         let mut k = build_ring(3, 8, 2);
-        k.run(1, SimTime::MAX).unwrap();
+        k.run().unwrap();
         let peers: Vec<usize> = k.into_components().iter().map(|c| c.peer.index()).collect();
         let expect: Vec<usize> = (0..8).map(|i| i ^ 1).collect();
         assert_eq!(peers, expect);

@@ -377,7 +377,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sink.index(), client.index());
-        k.run(1, SimTime::MAX).unwrap();
+        k.run().unwrap();
         let mut out = (Vec::new(), LinkStats::default(), GroupStats::default());
         for c in k.into_components() {
             match c {
